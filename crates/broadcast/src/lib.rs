@@ -74,7 +74,4 @@ pub mod prelude {
     pub use radio_sim::{
         run_schedule, RunConfig, RunResult, RunSpec, Schedule, TraceLevel, TransmitterPolicy,
     };
-    // Kept for one release alongside the deprecated shim it re-exports.
-    #[allow(deprecated)]
-    pub use radio_sim::run_protocol;
 }

@@ -14,33 +14,26 @@
 //!
 //! ## Determinism contract
 //!
-//! Lane `l` of [`run_protocol_batch`] with master seed `s` is
-//! **bit-identical** to a scalar [`run_protocol`](crate::run_protocol) on
+//! Lane `l` of a multi-lane [`RunSpec`](crate::RunSpec) with master seed
+//! `s` that plans this engine is **bit-identical** to the scalar run on
 //! the RNG stream `child_rng(s, l)`: same completion flag, same round
-//! count, same per-round trace, including lossy runs.  This holds because
-//! the batch runner replays the scalar draw order within every lane —
-//! protocol decisions per informed node in ascending node-id order, then
-//! loss coins per exactly-one reception in ascending node-id order — and
-//! each lane owns a private RNG, so lanes never perturb each other's
-//! streams.  The contract is pinned by the `batch_vs_scalar` differential
-//! suite.
+//! count, same per-round trace, including lossy and faulted runs.  The
+//! shared single-word lane loop (the crate-private `driver` module)
+//! guarantees this; this module supplies only the CSR merge.  The
+//! contract is pinned by the `batch_vs_scalar` differential suite.
 //!
-//! The batch runner implies [`TransmitterPolicy::InformedOnly`]
+//! The batch engine implies [`TransmitterPolicy::InformedOnly`]
 //! (transmit words are drawn from informed lanes only, exactly like the
-//! scalar protocol runner) and ignores [`RunConfig::kernel`]: results
+//! scalar protocol loop) and ignores the requested round kernel: results
 //! report [`KernelUsed::Batch`] instead.
 //!
 //! [`TransmitterPolicy::InformedOnly`]: crate::TransmitterPolicy::InformedOnly
 
-use radio_graph::{child_rng, Graph, NodeId, Xoshiro256pp};
+use radio_graph::{Graph, NodeId};
 
 use crate::bitset::BitSet;
-use crate::exec::RunSpec;
-use crate::fault::{FaultEvent, FaultPlan, LaneFaultSession, LiveView};
-use crate::kernel::{EngineKernel, KernelUsed};
-use crate::protocol::{Protocol, RunConfig};
-use crate::state::NOT_INFORMED;
-use crate::trace::{RoundRecord, RunResult, TraceLevel};
+use crate::driver::LaneMerge;
+use crate::kernel::KernelUsed;
 
 /// Maximum number of trial lanes in one batch (one bit per `u64` lane).
 pub const MAX_LANES: usize = 64;
@@ -54,6 +47,18 @@ pub(crate) fn lane_mask(lanes: usize) -> u64 {
     } else {
         (1u64 << lanes) - 1
     }
+}
+
+/// The set bit positions of `word`, ascending.
+#[inline]
+pub(crate) fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// Reusable scratch for [`execute_lane_round`]: the two counter planes and
@@ -106,11 +111,41 @@ pub fn execute_lane_round<F>(
 ) where
     F: FnMut(NodeId, u64, u64, u64) -> u64,
 {
+    assert_eq!(informed.len(), graph.n());
+    merge_planes(
+        graph,
+        scratch,
+        t,
+        tx_nodes,
+        canonical_order,
+        |v, ge1, ge2| {
+            let vi = v as usize;
+            let reached = ge1 & !t[vi] & !informed[vi];
+            if reached != 0 {
+                let delivered = resolve(v, reached, reached & ge2, reached & !ge2);
+                debug_assert_eq!(delivered & !(reached & !ge2), 0, "delivered ⊄ exactly-one");
+                informed[vi] |= delivered;
+            }
+        },
+    );
+}
+
+/// The merge half of [`execute_lane_round`]: folds every transmitter's
+/// word into its neighbors' planes, then calls `visit(v, ge1, ge2)` for
+/// every node with `ge1 != 0` — in ascending order when `canonical_order`
+/// is set — resetting the planes as it goes.
+fn merge_planes(
+    graph: &Graph,
+    scratch: &mut LaneScratch,
+    t: &[u64],
+    tx_nodes: &[NodeId],
+    canonical_order: bool,
+    mut visit: impl FnMut(NodeId, u64, u64),
+) {
     let n = graph.n();
     // Hard asserts (not debug): the full-sweep merge below relies on
     // `planes.len() == n` for its unchecked indexing.
     assert_eq!(t.len(), n);
-    assert_eq!(informed.len(), n);
     assert_eq!(scratch.planes.len(), n);
     let planes = &mut scratch.planes;
     let touched = &mut scratch.touched;
@@ -146,17 +181,10 @@ pub fn execute_lane_round<F>(
         // Resolve: one ascending sweep, resetting planes as we go.
         for (vi, p) in planes.iter_mut().enumerate() {
             let [ge1, ge2] = *p;
-            if ge1 == 0 {
-                continue;
+            if ge1 != 0 {
+                *p = [0, 0];
+                visit(vi as NodeId, ge1, ge2);
             }
-            *p = [0, 0];
-            let reached = ge1 & !t[vi] & !informed[vi];
-            if reached == 0 {
-                continue;
-            }
-            let delivered = resolve(vi as NodeId, reached, reached & ge2, reached & !ge2);
-            debug_assert_eq!(delivered & !(reached & !ge2), 0, "delivered ⊄ exactly-one");
-            informed[vi] |= delivered;
         }
         return;
     }
@@ -182,409 +210,71 @@ pub fn execute_lane_round<F>(
 
     // Resolve: exactly-one receptions per lane, resetting planes as we go.
     for &v in touched.iter() {
-        let vi = v as usize;
-        let [ge1, ge2] = planes[vi];
-        planes[vi] = [0, 0];
-        let reached = ge1 & !t[vi] & !informed[vi];
-        if reached == 0 {
-            continue;
-        }
-        let delivered = resolve(v, reached, reached & ge2, reached & !ge2);
-        debug_assert_eq!(delivered & !(reached & !ge2), 0, "delivered ⊄ exactly-one");
-        informed[vi] |= delivered;
+        let [ge1, ge2] = std::mem::take(&mut planes[v as usize]);
+        visit(v, ge1, ge2);
     }
     touched.clear();
 }
 
-/// Runs `lanes` independent trials of `protocol` on `graph` from `source`,
-/// one trial per bit lane, and returns one [`RunResult`] per lane (index =
-/// lane = RNG stream index).
-///
-/// Lane `l` uses the RNG stream `child_rng(master_seed, l)` and is
-/// bit-identical to a scalar [`run_protocol`](crate::run_protocol) on that
-/// stream (see the module docs for the contract).  `protocol.begin_run(n)`
-/// is called **once** for the whole batch — sound because [`Protocol`]
-/// implementations may keep only per-protocol configuration derived from
-/// `n`, never per-run topology state.
-///
-/// # Panics
-///
-/// If `lanes` is not in `1..=`[`MAX_LANES`] or `source` is out of range.
-/// With [`EngineKernel::Tiled`] requested the call delegates to the tiled
-/// runner, which lifts the lane cap to [`crate::MAX_TILED_LANES`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_lanes(..)"
-)]
-pub fn run_protocol_batch<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    master_seed: u64,
-    lanes: usize,
-) -> Vec<RunResult> {
-    if config.kernel != EngineKernel::Tiled {
-        // Historical contract: the batch entry point rejects more than 64
-        // lanes unless the tiled kernel was requested explicitly.  (The
-        // planner itself would simply widen to the tiled engine.)
-        assert!(
-            (1..=MAX_LANES).contains(&lanes),
-            "lanes must be in 1..={MAX_LANES}, got {lanes}"
-        );
-    }
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_lanes(lanes)
-        .with_master_seed(master_seed)
-        .run(protocol)
-        .lanes
+/// The batch engine's [`LaneMerge`]: the transmitters' CSR rows through
+/// [`execute_lane_round`]'s merge, plus the jammers' neighborhoods.
+pub(crate) struct CsrLanes<'g> {
+    graph: &'g Graph,
+    scratch: LaneScratch,
+    /// Nodes adjacent to a live jammer this round.
+    jam_touch: BitSet,
 }
 
-/// Like [`run_protocol_batch`], but every lane runs under the fault plan
-/// `plan` (the plan is per-node, so faults are shared across lanes; burst
-/// channels are per-lane, drawn from each lane's private RNG).
-///
-/// Lane `l` is bit-identical to a scalar
-/// [`run_protocol_faulty`](crate::run_protocol_faulty) on
-/// `child_rng(master_seed, l)` — same informed set, same trace, same fault
-/// events, same [`crate::FaultSummary`], and the same residual RNG stream.
-/// Jammers are injected into every lane's transmit plane, so the two-plane
-/// saturating counter resolves jam collisions without a per-lane branch.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_lanes(..).with_faults(..)"
-)]
-pub fn run_protocol_batch_faulty<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    master_seed: u64,
-    lanes: usize,
-) -> Vec<RunResult> {
-    if config.kernel != EngineKernel::Tiled {
-        assert!(
-            (1..=MAX_LANES).contains(&lanes),
-            "lanes must be in 1..={MAX_LANES}, got {lanes}"
-        );
-    }
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_lanes(lanes)
-        .with_master_seed(master_seed)
-        .with_faults(plan)
-        .run(protocol)
-        .lanes
-}
-
-/// Lane-batched execution core: the body behind every
-/// [`PlannedEngine::Batch`](crate::exec::PlannedEngine::Batch) plan.
-pub(crate) fn run_batch_core<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: Option<&FaultPlan>,
-    master_seed: u64,
-    lanes: usize,
-) -> Vec<RunResult> {
-    assert!(
-        (1..=MAX_LANES).contains(&lanes),
-        "lanes must be in 1..={MAX_LANES}, got {lanes}"
-    );
-    let n = graph.n();
-    assert!(
-        (source as usize) < n,
-        "source {source} out of range for n = {n}"
-    );
-    if let Some(p) = plan {
-        assert_eq!(p.n(), n, "fault plan size mismatch");
-    }
-    let full = lane_mask(lanes);
-    let lossy = config.loss_prob > 0.0;
-    // Faulty resolution happens per node either way; forcing canonical
-    // order keeps the jam/burst bookkeeping aligned with the scalar runs.
-    let canonical_order = lossy || plan.is_some();
-    let per_round = config.trace_level == TraceLevel::PerRound;
-
-    let mut rngs: Vec<Xoshiro256pp> = (0..lanes as u64)
-        .map(|l| child_rng(master_seed, l))
-        .collect();
-    protocol.begin_run(n);
-
-    let mut session = plan.map(LaneFaultSession::new);
-    // Nodes adjacent to a live jammer this round: every exactly-one lane
-    // there carries a jam hit and must resolve as a collision.
-    let mut jam_touch = plan.map(|_| BitSet::new(n));
-    let mut jam_dirty = false;
-    let mut lane_events: Vec<Vec<FaultEvent>> = vec![Vec::new(); lanes];
-
-    // Per-lane broadcast state, struct-of-words: informed mask per node,
-    // informed round per (node, lane).
-    let mut informed: Vec<u64> = vec![0; n];
-    informed[source as usize] = full;
-    let mut informed_round: Vec<u32> = vec![NOT_INFORMED; n * lanes];
-    informed_round[source as usize * lanes..source as usize * lanes + lanes].fill(0);
-
-    let mut t: Vec<u64> = vec![0; n];
-    let mut tx_nodes: Vec<NodeId> = Vec::new();
-    let mut scratch = LaneScratch::new(n);
-
-    let mut lane_informed = vec![1usize; lanes];
-    let mut lane_rounds = vec![0u32; lanes];
-    let mut lane_completed = vec![n == 1; lanes];
-    let mut lane_last = vec![0u32; lanes];
-    let mut traces: Vec<Vec<RoundRecord>> = vec![Vec::new(); lanes];
-
-    // Per-round, per-lane outcome counters.
-    let mut tx_count = vec![0u32; lanes];
-    let mut newly = vec![0u32; lanes];
-    let mut colls = vec![0u32; lanes];
-    let mut reach = vec![0u32; lanes];
-
-    let mut active = if n == 1 { 0 } else { full };
-    let mut round = 0u32;
-    while active != 0 && round < config.max_rounds {
-        round += 1;
-
-        // Faults fire (and burst channels step) before any decision coin,
-        // exactly like the scalar faulty runner.
-        if let Some(s) = session.as_mut() {
-            let fired = s.begin_round(round, &[active], &mut rngs);
-            if !fired.is_empty() {
-                let mut m = active;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    lane_events[l].extend_from_slice(fired);
-                }
-            }
-        }
-
-        // Decision phase: scalar draw order is per-lane "informed nodes
-        // ascending", which the node-major loop preserves because each
-        // lane's RNG is private.
-        for u in 0..n {
-            let mask = informed[u] & active;
-            if mask == 0 {
-                continue;
-            }
-            // Crashed, asleep, and jamming nodes draw no decision coin.
-            if session.as_ref().is_some_and(|s| s.mute(u as NodeId)) {
-                continue;
-            }
-            let base = u * lanes;
-            let word = protocol.transmits_lanes(
-                u as NodeId,
-                round,
-                mask,
-                &informed_round[base..base + lanes],
-                &mut rngs,
-            ) & mask;
-            if word != 0 {
-                t[u] = word;
-                tx_nodes.push(u as NodeId);
-                let mut m = word;
-                while m != 0 {
-                    tx_count[m.trailing_zeros() as usize] += 1;
-                    m &= m - 1;
-                }
-            }
-        }
-
-        // Inject jammers into every active lane's transmit plane: a jam hit
-        // saturates the two-plane counter exactly like a real transmitter,
-        // so 1-real+jam lanes land in the ≥2 plane automatically.  Lanes
-        // where the jammer is the *only* hit stay in the exactly-one plane
-        // and are demoted to collisions via `jam_touch` during resolution.
-        if let Some(s) = session.as_ref() {
-            if jam_dirty {
-                jam_touch
-                    .as_mut()
-                    .expect("jam_touch exists with plan")
-                    .clear();
-                jam_dirty = false;
-            }
-            let touch = jam_touch.as_mut().expect("jam_touch exists with plan");
-            for &j in s.jammers() {
-                debug_assert_eq!(t[j as usize], 0, "jammer drew a decision coin");
-                t[j as usize] = active;
-                tx_nodes.push(j);
-                let mut m = active;
-                while m != 0 {
-                    tx_count[m.trailing_zeros() as usize] += 1;
-                    m &= m - 1;
-                }
-                for &v in graph.neighbors(j) {
-                    touch.set(v as usize);
-                }
-                jam_dirty = true;
-            }
-        }
-
-        let loss = config.loss_prob;
-        execute_lane_round(
+impl<'g> CsrLanes<'g> {
+    pub(crate) fn new(graph: &'g Graph) -> Self {
+        CsrLanes {
             graph,
-            &mut scratch,
-            &t,
-            &tx_nodes,
-            &mut informed,
-            canonical_order,
-            |v, reached_w, collided_w, e1| {
-                // Blocked (crashed/asleep) nodes receive nothing and count
-                // toward neither reach nor collisions — same as the scalar
-                // engines, which skip them before counting.
-                if session.as_ref().is_some_and(|s| s.blocked_node(v)) {
-                    return 0;
-                }
-                let mut m = reached_w;
-                while m != 0 {
-                    reach[m.trailing_zeros() as usize] += 1;
-                    m &= m - 1;
-                }
-                let mut m = collided_w;
-                while m != 0 {
-                    colls[m.trailing_zeros() as usize] += 1;
-                    m &= m - 1;
-                }
-                if jam_dirty
-                    && jam_touch
-                        .as_ref()
-                        .is_some_and(|touch| touch.get(v as usize))
-                {
-                    // The jammer transmits in every active lane, so each
-                    // exactly-one lane here is a jam-only hit: a collision,
-                    // never a delivery, and (like the scalar engine) no
-                    // burst/loss coin is drawn for it.
-                    let mut m = e1;
-                    while m != 0 {
-                        colls[m.trailing_zeros() as usize] += 1;
-                        m &= m - 1;
-                    }
-                    return 0;
-                }
-                let mut delivered = e1;
-                if let Some(s) = session.as_ref() {
-                    // Burst veto consumes no coin (channel state was drawn
-                    // in begin_round), matching the scalar `&&` short
-                    // circuit: lost-to-burst lanes skip the loss coin too.
-                    delivered &= !s.burst_word(v);
-                }
-                if lossy {
-                    // Same coin as the scalar engine's delivery veto, in
-                    // ascending lane order (each lane: ascending node order,
-                    // since `canonical_order` sorted the dirty list).
-                    let mut m = delivered;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        if rngs[l].coin(loss) {
-                            delivered &= !(1u64 << l);
-                        }
-                    }
-                }
-                let base = v as usize * lanes;
-                let mut m = delivered;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    informed_round[base + l] = round;
-                    lane_informed[l] += 1;
-                    newly[l] += 1;
-                }
-                delivered
-            },
+            scratch: LaneScratch::new(graph.n()),
+            jam_touch: BitSet::new(graph.n()),
+        }
+    }
+}
+
+impl LaneMerge for CsrLanes<'_> {
+    const KERNEL: KernelUsed = KernelUsed::Batch;
+
+    fn merge(
+        &mut self,
+        t: &[u64],
+        tx_nodes: &[NodeId],
+        jammers: &[NodeId],
+        canonical: bool,
+        mut listener: impl FnMut(NodeId, u64, u64, bool),
+    ) {
+        for &j in jammers {
+            for &v in self.graph.neighbors(j) {
+                self.jam_touch.set(v as usize);
+            }
+        }
+        let (jam, touch) = (!jammers.is_empty(), &self.jam_touch);
+        merge_planes(
+            self.graph,
+            &mut self.scratch,
+            t,
+            tx_nodes,
+            canonical,
+            |v, ge1, ge2| listener(v, ge1, ge2, jam && touch.get(v as usize)),
         );
-
-        // Book-keeping per still-active lane: trace record, completion.
-        let mut still = active;
-        while still != 0 {
-            let l = still.trailing_zeros() as usize;
-            still &= still - 1;
-            if per_round {
-                traces[l].push(RoundRecord {
-                    round,
-                    transmitters: tx_count[l] as usize,
-                    newly_informed: newly[l] as usize,
-                    collisions: colls[l] as usize,
-                    reached: reach[l] as usize,
-                    informed_after: lane_informed[l],
-                });
-            }
-            if newly[l] > 0 {
-                lane_last[l] = round;
-            }
-            if lane_informed[l] == n {
-                lane_completed[l] = true;
-                lane_rounds[l] = round;
-                active &= !(1u64 << l);
-            }
+        if jam {
+            self.jam_touch.clear();
         }
-
-        for &u in &tx_nodes {
-            t[u as usize] = 0;
-        }
-        tx_nodes.clear();
-        tx_count.fill(0);
-        newly.fill(0);
-        colls.fill(0);
-        reach.fill(0);
     }
-
-    // Budget-exhausted lanes report the exhausted budget, like the scalar
-    // runner.
-    let mut still = active;
-    while still != 0 {
-        let l = still.trailing_zeros() as usize;
-        still &= still - 1;
-        lane_rounds[l] = round;
-    }
-
-    // Per-lane graceful-degradation summaries.  Lanes finishing in the
-    // same round share a LiveView (the DSU pass is per-horizon, not
-    // per-lane).
-    let mut views: Vec<(u32, LiveView)> = Vec::new();
-    let mut lane_faults = Vec::with_capacity(lanes);
-    for (l, &horizon) in lane_rounds.iter().enumerate().take(lanes) {
-        lane_faults.push(plan.map(|p| {
-            let at = views
-                .iter()
-                .position(|(h, _)| *h == horizon)
-                .unwrap_or_else(|| {
-                    views.push((horizon, p.live_view(graph, horizon, source)));
-                    views.len() - 1
-                });
-            views[at].1.summary(|v| informed[v as usize] >> l & 1 == 1)
-        }));
-    }
-
-    traces
-        .into_iter()
-        .enumerate()
-        .map(|(l, trace)| RunResult {
-            completed: lane_completed[l],
-            rounds: lane_rounds[l],
-            informed: lane_informed[l],
-            n,
-            kernel: KernelUsed::Batch,
-            threads: 1,
-            last_delivery_round: lane_last[l],
-            fault_events: std::mem::take(&mut lane_events[l]),
-            faults: lane_faults[l],
-            trace,
-        })
-        .collect()
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::protocol::{run_protocol, LocalNode};
-    use radio_graph::derive_seed;
+    use crate::exec::RunSpec;
+    use crate::fault::FaultPlan;
+    use crate::protocol::{LocalNode, Protocol, RunConfig};
+    use crate::trace::RunResult;
     use radio_graph::gnp::sample_gnp;
+    use radio_graph::{child_rng, derive_seed, Xoshiro256pp};
 
     /// Transmit with a fixed probability (one coin per decision).
     struct Coin(f64);
@@ -597,6 +287,33 @@ mod tests {
         }
     }
 
+    fn spec<'a>(
+        g: &'a Graph,
+        source: NodeId,
+        cfg: RunConfig,
+        plan: Option<&'a FaultPlan>,
+    ) -> RunSpec<'a> {
+        let spec = RunSpec::on_graph(g, source).with_config(cfg);
+        match plan {
+            Some(plan) => spec.with_faults(plan),
+            None => spec,
+        }
+    }
+
+    fn run_batch(
+        g: &Graph,
+        source: NodeId,
+        p: f64,
+        cfg: RunConfig,
+        master: u64,
+        lanes: usize,
+    ) -> Vec<RunResult> {
+        let spec = spec(g, source, cfg, None)
+            .with_lanes(lanes)
+            .with_master_seed(master);
+        spec.run(&mut Coin(p)).lanes
+    }
+
     fn scalar_lane(
         g: &Graph,
         source: NodeId,
@@ -606,7 +323,9 @@ mod tests {
         lane: u64,
     ) -> RunResult {
         let mut rng = child_rng(master, lane);
-        let mut result = run_protocol(g, source, &mut Coin(p), cfg, &mut rng);
+        let mut result = spec(g, source, cfg, None)
+            .run_with_rng(&mut Coin(p), &mut rng)
+            .into_single();
         // Lane results always report the batch kernel; normalize for
         // comparison.
         result.kernel = KernelUsed::Batch;
@@ -622,7 +341,7 @@ mod tests {
             let loss = if case % 2 == 0 { 0.0 } else { 0.25 };
             let cfg = RunConfig::for_graph(n).with_max_rounds(50).with_loss(loss);
             let master = derive_seed(0x5EED, case);
-            let batch = run_protocol_batch(&g, 0, &mut Coin(0.3), cfg, master, MAX_LANES);
+            let batch = run_batch(&g, 0, 0.3, cfg, master, MAX_LANES);
             assert_eq!(batch.len(), MAX_LANES);
             for (l, got) in batch.iter().enumerate() {
                 let want = scalar_lane(&g, 0, 0.3, cfg, master, l as u64);
@@ -637,7 +356,7 @@ mod tests {
         let g = sample_gnp(60, 0.15, &mut grng);
         let cfg = RunConfig::for_graph(60).with_max_rounds(40);
         for lanes in [1usize, 2, 17, 63] {
-            let batch = run_protocol_batch(&g, 3, &mut Coin(0.25), cfg, 99, lanes);
+            let batch = run_batch(&g, 3, 0.25, cfg, 99, lanes);
             assert_eq!(batch.len(), lanes);
             for (l, got) in batch.iter().enumerate() {
                 let want = scalar_lane(&g, 3, 0.25, cfg, 99, l as u64);
@@ -652,8 +371,6 @@ mod tests {
 
     #[test]
     fn faulty_lanes_match_scalar_faulty_runs() {
-        use crate::protocol::run_protocol_faulty;
-
         let mut grng = Xoshiro256pp::new(derive_seed(0xFA17, 0));
         let n = 96;
         let g = sample_gnp(n, 0.1, &mut grng);
@@ -688,12 +405,17 @@ mod tests {
         {
             let cfg = RunConfig::for_graph(n).with_max_rounds(40).with_loss(loss);
             let master = derive_seed(0x5EED, case as u64);
-            let batch =
-                run_protocol_batch_faulty(&g, 0, &mut Coin(0.3), cfg, plan, master, MAX_LANES);
+            let batch = spec(&g, 0, cfg, Some(plan))
+                .with_lanes(MAX_LANES)
+                .with_master_seed(master)
+                .run(&mut Coin(0.3))
+                .lanes;
             assert_eq!(batch.len(), MAX_LANES);
             for (l, got) in batch.iter().enumerate() {
                 let mut rng = child_rng(master, l as u64);
-                let mut want = run_protocol_faulty(&g, 0, &mut Coin(0.3), cfg, plan, &mut rng);
+                let mut want = spec(&g, 0, cfg, Some(plan))
+                    .run_with_rng(&mut Coin(0.3), &mut rng)
+                    .into_single();
                 want.kernel = KernelUsed::Batch;
                 assert_eq!(*got, want, "case {case}, lane {l}");
             }
@@ -703,7 +425,7 @@ mod tests {
     #[test]
     fn single_node_graph_completes_in_zero_rounds() {
         let g = Graph::empty(1);
-        let batch = run_protocol_batch(&g, 0, &mut Coin(0.5), RunConfig::for_graph(1), 1, 8);
+        let batch = run_batch(&g, 0, 0.5, RunConfig::for_graph(1), 1, 8);
         for r in &batch {
             assert!(r.completed);
             assert_eq!(r.rounds, 0);
@@ -714,7 +436,7 @@ mod tests {
     #[test]
     fn lanes_report_batch_kernel() {
         let g = Graph::path(6);
-        let batch = run_protocol_batch(&g, 0, &mut Coin(0.9), RunConfig::for_graph(6), 4, 3);
+        let batch = run_batch(&g, 0, 0.9, RunConfig::for_graph(6), 4, 3);
         assert!(batch.iter().all(|r| r.kernel == KernelUsed::Batch));
     }
 
@@ -722,14 +444,17 @@ mod tests {
     #[should_panic]
     fn zero_lanes_rejected() {
         let g = Graph::path(3);
-        let _ = run_protocol_batch(&g, 0, &mut Coin(0.5), RunConfig::for_graph(3), 1, 0);
+        let _ = run_batch(&g, 0, 0.5, RunConfig::for_graph(3), 1, 0);
     }
 
     #[test]
     #[should_panic]
     fn too_many_lanes_rejected() {
+        // The planner widens 65 lanes to the tiled engine; the single-word
+        // lane loop itself refuses them.
         let g = Graph::path(3);
-        let _ = run_protocol_batch(&g, 0, &mut Coin(0.5), RunConfig::for_graph(3), 1, 65);
+        let spec = RunSpec::on_graph(&g, 0).with_lanes(MAX_LANES + 1);
+        let _ = crate::driver::run_lanes(&spec, CsrLanes::new(&g), &mut Coin(0.5), MAX_LANES + 1);
     }
 
     #[test]

@@ -99,11 +99,19 @@ impl<P: Protocol> Protocol for Named<P> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::protocol::{run_protocol, RunConfig};
+    use crate::exec::RunSpec;
+    use crate::protocol::RunConfig;
+    use crate::trace::RunResult;
     use radio_graph::Graph;
+
+    fn run(g: &Graph, protocol: &mut impl Protocol, cfg: RunConfig, seed: u64) -> RunResult {
+        RunSpec::on_graph(g, 0)
+            .with_config(cfg)
+            .run_with_rng(protocol, &mut Xoshiro256pp::new(seed))
+            .into_single()
+    }
 
     /// Always transmit.
     #[derive(Clone)]
@@ -135,9 +143,8 @@ mod tests {
         // exactly nodes 0..=3 end up informed.
         let g = Graph::path(10);
         let mut proto = Staged::new(Always, 3, Never);
-        let mut rng = Xoshiro256pp::new(1);
         let cfg = RunConfig::for_graph(10).with_max_rounds(30);
-        let r = run_protocol(&g, 0, &mut proto, cfg, &mut rng);
+        let r = run(&g, &mut proto, cfg, 1);
         assert!(!r.completed);
         assert_eq!(r.informed, 4);
     }
@@ -156,8 +163,7 @@ mod tests {
         }
         let g = Graph::path(6);
         let mut proto = Staged::new(Never, 2, AssertRound);
-        let mut rng = Xoshiro256pp::new(2);
-        let r = run_protocol(&g, 0, &mut proto, RunConfig::for_graph(6), &mut rng);
+        let r = run(&g, &mut proto, RunConfig::for_graph(6), 2);
         assert!(r.completed);
         // 2 silent rounds + 5 flood rounds.
         assert_eq!(r.rounds, 7);
@@ -168,8 +174,7 @@ mod tests {
         let mut a = Named::new("custom", Always);
         assert_eq!(a.name(), "custom");
         let g = Graph::path(4);
-        let mut rng = Xoshiro256pp::new(3);
-        let r = run_protocol(&g, 0, &mut a, RunConfig::for_graph(4), &mut rng);
+        let r = run(&g, &mut a, RunConfig::for_graph(4), 3);
         assert!(r.completed);
         assert_eq!(r.rounds, 3);
     }

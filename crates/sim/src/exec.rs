@@ -1,12 +1,8 @@
 //! The execution planner: one front door for every way to run a protocol.
 //!
-//! Historically each execution style had its own public entry point —
-//! scalar, multi-source, observed, faulty, lane-batched, tiled, and the
-//! provider sweeps — fourteen `run_protocol_*` functions whose dispatch
-//! rules lived in their call sites.  [`RunSpec`] collapses them into one
-//! builder: describe the run (graph source, start state, lanes, kernel
-//! preference, faults, loss, master seed, worker threads), let the
-//! planner pick the engine, and execute.
+//! [`RunSpec`] is a builder: describe the run (graph source, start state,
+//! lanes, kernel preference, faults, loss, master seed, worker threads),
+//! let the planner pick the engine, and execute.
 //!
 //! ```
 //! use radio_graph::{Graph, Xoshiro256pp, NodeId};
@@ -54,6 +50,16 @@
 //! a second plane word per node — the tiled kernel's job, which needs
 //! stored adjacency.
 //!
+//! Every plan accepts and rejects the same specs: `plan()` checks the
+//! loss probability and the start state once, whichever engine it picks.
+//!
+//! ## Two protocol loops
+//!
+//! The `Round` and `Sweep` engines execute under one scalar protocol
+//! loop, and `Batch` and `LaneSweep` under one single-word lane loop
+//! (both in the crate-private `driver` module); `Tiled` keeps its
+//! multi-word parallel loop.
+//!
 //! ## Determinism contract
 //!
 //! Lane `l` of any multi-lane engine is **bit-identical** to the scalar
@@ -65,14 +71,16 @@
 
 use radio_graph::{child_rng, Graph, GraphProvider, NodeId, Xoshiro256pp};
 
-use crate::batch::{run_batch_core, MAX_LANES};
+use crate::batch::{CsrLanes, MAX_LANES};
+use crate::driver::{run_lanes, run_scalar};
+use crate::engine::RoundEngine;
 use crate::fault::FaultPlan;
 use crate::kernel::{tiled_is_cheaper, EngineKernel};
 use crate::observer::{NoopObserver, RunObserver};
-use crate::protocol::{scalar_faulty_observed_core, scalar_observed_core, Protocol, RunConfig};
+use crate::protocol::{Protocol, RunConfig};
 use crate::state::BroadcastState;
-use crate::sweep::{run_sweep_faulty_core, run_sweep_lanes_core, run_sweep_scalar_core, Backend};
-use crate::tiled::{run_tiled_core, MAX_TILED_LANES};
+use crate::sweep::{Backend, SweepEngine, SweepLanes};
+use crate::tiled::{run_tiled, MAX_TILED_LANES};
 use crate::trace::RunResult;
 
 /// Where a run's edges come from.
@@ -95,33 +103,13 @@ enum StartState {
     Source(NodeId),
     /// Several sources, all informed at round 0.
     Sources(Vec<NodeId>),
-    /// An arbitrary pre-built state.
-    State(BroadcastState),
-}
-
-impl StartState {
-    fn to_state(&self, n: usize) -> BroadcastState {
-        match self {
-            StartState::Source(s) => BroadcastState::new(n, *s),
-            StartState::Sources(v) => BroadcastState::with_sources(n, v),
-            StartState::State(st) => st.clone(),
-        }
-    }
-
-    fn single_source(&self) -> NodeId {
-        match self {
-            StartState::Source(s) => *s,
-            _ => panic!("this execution plan requires a single source node"),
-        }
-    }
 }
 
 /// The engine the planner selected (see the [module docs](crate::exec)
 /// for the decision table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannedEngine {
-    /// Scalar [`RoundEngine`](crate::engine::RoundEngine) with the given
-    /// kernel preference.
+    /// Scalar [`RoundEngine`] with the given kernel preference.
     Round(EngineKernel),
     /// Lane-batched explicit kernel, up to 64 trials per sweep
     /// ([`crate::batch`]).
@@ -233,10 +221,10 @@ impl RunOutcome {
 pub struct RunSpec<'a> {
     graph: GraphSource<'a>,
     start: StartState,
-    config: RunConfig,
+    pub(crate) config: RunConfig,
     lanes: usize,
-    fault_plan: Option<&'a FaultPlan>,
-    master_seed: u64,
+    pub(crate) fault_plan: Option<&'a FaultPlan>,
+    pub(crate) master_seed: u64,
     threads: Option<usize>,
 }
 
@@ -322,25 +310,16 @@ impl<'a> RunSpec<'a> {
     }
 
     /// Multi-source start: every node of `sources` is informed at round
-    /// 0.  Requires a scalar explicit plan (lanes = 1, no faults).
+    /// 0.  Requires an unfaulted scalar explicit plan (see
+    /// [`RunSpec::plan`]).
     pub fn with_sources(mut self, sources: &[NodeId]) -> Self {
         self.start = StartState::Sources(sources.to_vec());
         self
     }
 
-    /// Arbitrary initial knowledge state.  Requires a scalar explicit
-    /// plan (lanes = 1, no faults).
-    pub fn with_state(mut self, state: BroadcastState) -> Self {
-        self.start = StartState::State(state);
-        self
-    }
-
     /// Node count of the graph source.
     pub fn n(&self) -> usize {
-        match &self.graph {
-            GraphSource::Csr(g) => g.n(),
-            GraphSource::Provider { provider, .. } => provider.n(),
-        }
+        self.provider().n()
     }
 
     /// The planner: a **pure function** of this spec (see the [module
@@ -348,13 +327,20 @@ impl<'a> RunSpec<'a> {
     ///
     /// # Panics
     ///
-    /// If `lanes` is 0, exceeds the engine family's cap
-    /// ([`MAX_TILED_LANES`] explicit, [`MAX_LANES`] provider), or the
-    /// spec combines multi-source/custom-state starts with a multi-lane
-    /// or provider plan.
+    /// If `lanes` is 0 or exceeds the engine family's cap
+    /// ([`MAX_TILED_LANES`] explicit, [`MAX_LANES`] provider), if the
+    /// loss probability is outside `[0, 1]` (NaN included), or if a
+    /// multi-source start ([`RunSpec::with_sources`]) would run on
+    /// anything but the unfaulted scalar round engine — several lanes, an
+    /// implicit or sharded provider, or faults.
     pub fn plan(&self) -> Plan {
         let lanes = self.lanes;
         assert!(lanes >= 1, "lanes must be >= 1, got {lanes}");
+        let loss = self.config.loss_prob;
+        assert!(
+            (0.0..=1.0).contains(&loss),
+            "loss_prob must be within [0, 1], got {loss}"
+        );
         let explicit_plan = |n: usize| -> Plan {
             assert!(
                 lanes <= MAX_TILED_LANES,
@@ -383,7 +369,7 @@ impl<'a> RunSpec<'a> {
                 threads: self.threads,
             }
         };
-        match &self.graph {
+        let plan = match &self.graph {
             GraphSource::Csr(g) => explicit_plan(g.n()),
             GraphSource::Provider { provider, shards } => {
                 let explicit = provider.as_explicit().is_some();
@@ -414,7 +400,17 @@ impl<'a> RunSpec<'a> {
                     }
                 }
             }
+        };
+        if let StartState::Sources(_) = self.start {
+            assert!(
+                matches!(plan.engine, PlannedEngine::Round(_)) && self.fault_plan.is_none(),
+                "a multi-source start runs only on the unfaulted scalar round engine \
+                 (planned {}, faults: {})",
+                plan.describe(),
+                self.fault_plan.is_some()
+            );
         }
+        plan
     }
 
     /// Executes the planned run, seeding lane `l` with
@@ -422,60 +418,28 @@ impl<'a> RunSpec<'a> {
     pub fn run<P: Protocol + ?Sized>(&self, protocol: &mut P) -> RunOutcome {
         let plan = self.plan();
         let lanes = match plan.engine {
-            PlannedEngine::Round(_) => {
+            PlannedEngine::Round(_) | PlannedEngine::Sweep => {
                 let mut rng = child_rng(self.master_seed, 0);
-                vec![self.exec_round(protocol, &mut rng, &mut NoopObserver)]
+                vec![self.exec_scalar(&plan, protocol, &mut rng, &mut NoopObserver)]
             }
-            PlannedEngine::Sweep => {
-                let mut rng = child_rng(self.master_seed, 0);
-                vec![self.exec_sweep(&plan, protocol, &mut rng)]
-            }
-            PlannedEngine::Batch => {
-                let (graph, source) = self.explicit_graph();
-                run_batch_core(
-                    graph,
-                    source,
-                    protocol,
-                    self.config,
-                    self.fault_plan,
-                    self.master_seed,
-                    plan.lanes,
-                )
-            }
-            PlannedEngine::Tiled => {
-                let (graph, source) = self.explicit_graph();
-                run_tiled_core(
-                    graph,
-                    source,
-                    protocol,
-                    self.config,
-                    self.fault_plan,
-                    self.master_seed,
-                    plan.lanes,
-                    self.threads,
-                )
-            }
+            PlannedEngine::Batch => run_lanes(
+                self,
+                CsrLanes::new(self.explicit_graph()),
+                protocol,
+                plan.lanes,
+            ),
             PlannedEngine::LaneSweep => {
-                let (provider, shards) = self.provider_and_shards(&plan);
-                run_sweep_lanes_core(
-                    provider,
-                    shards,
-                    self.start.single_source(),
-                    protocol,
-                    self.config,
-                    self.fault_plan,
-                    self.master_seed,
-                    plan.lanes,
-                )
+                let merge = SweepLanes::new(self.provider(), plan.shards);
+                run_lanes(self, merge, protocol, plan.lanes)
             }
+            PlannedEngine::Tiled => run_tiled(self, protocol, plan.lanes, self.threads),
         };
         debug_assert_eq!(lanes.len(), plan.lanes);
         RunOutcome { lanes, plan }
     }
 
-    /// Executes a **scalar** plan on a caller-owned RNG stream
-    /// (continuing it mid-stream, exactly like the historical scalar
-    /// entry points).
+    /// Executes a **scalar** plan on a caller-owned RNG stream,
+    /// continuing it mid-stream.
     ///
     /// # Panics
     ///
@@ -486,28 +450,16 @@ impl<'a> RunSpec<'a> {
         protocol: &mut P,
         rng: &mut Xoshiro256pp,
     ) -> RunOutcome {
-        let plan = self.plan();
-        let result = match plan.engine {
-            PlannedEngine::Round(_) => self.exec_round(protocol, rng, &mut NoopObserver),
-            PlannedEngine::Sweep => self.exec_sweep(&plan, protocol, rng),
-            other => panic!(
-                "run_with_rng requires a scalar plan (lanes = 1), planner chose {:?}",
-                other
-            ),
-        };
-        RunOutcome {
-            lanes: vec![result],
-            plan,
-        }
+        self.run_observed(protocol, rng, &mut NoopObserver)
     }
 
-    /// Executes a scalar **explicit** plan with per-round telemetry
-    /// streamed into `observer`.
+    /// [`RunSpec::run_with_rng`] with per-round telemetry (and fault
+    /// events) streamed into `observer`.
     ///
     /// # Panics
     ///
-    /// If the planner chose anything but the scalar round engine
-    /// (provider sweeps and the lane engines have no observer hooks).
+    /// If the plan is multi-lane: the lane engines have no observer
+    /// hooks.
     pub fn run_observed<P: Protocol + ?Sized, O: RunObserver>(
         &self,
         protocol: &mut P,
@@ -515,80 +467,63 @@ impl<'a> RunSpec<'a> {
         observer: &mut O,
     ) -> RunOutcome {
         let plan = self.plan();
-        match plan.engine {
-            PlannedEngine::Round(_) => {
-                let result = self.exec_round(protocol, rng, observer);
-                RunOutcome {
-                    lanes: vec![result],
-                    plan,
-                }
-            }
-            other => panic!(
-                "observers require the scalar round engine, planner chose {:?}",
-                other
-            ),
+        let result = self.exec_scalar(&plan, protocol, rng, observer);
+        RunOutcome {
+            lanes: vec![result],
+            plan,
         }
     }
 
-    fn explicit_graph(&self) -> (&'a Graph, NodeId) {
-        let graph = match &self.graph {
-            GraphSource::Csr(g) => *g,
-            GraphSource::Provider { provider, .. } => provider
-                .as_explicit()
-                .expect("planned an explicit engine on a non-explicit provider"),
-        };
-        (graph, self.start.single_source())
-    }
-
-    fn exec_round<P: Protocol + ?Sized, O: RunObserver>(
-        &self,
-        protocol: &mut P,
-        rng: &mut Xoshiro256pp,
-        observer: &mut O,
-    ) -> RunResult {
-        let graph = match &self.graph {
-            GraphSource::Csr(g) => *g,
-            GraphSource::Provider { provider, .. } => provider
-                .as_explicit()
-                .expect("planned Round on a non-explicit provider"),
-        };
-        match self.fault_plan {
-            Some(fp) => scalar_faulty_observed_core(
-                graph,
-                self.start.single_source(),
-                protocol,
-                self.config,
-                fp,
-                rng,
-                observer,
-            ),
-            None => {
-                let state = self.start.to_state(graph.n());
-                scalar_observed_core(graph, state, protocol, self.config, rng, observer)
-            }
-        }
-    }
-
-    fn provider_and_shards(&self, plan: &Plan) -> (&'a dyn GraphProvider, usize) {
-        match &self.graph {
-            GraphSource::Provider { provider, shards } => (*provider, (*shards).max(1)),
-            GraphSource::Csr(g) => (*g as &dyn GraphProvider, plan.shards),
-        }
-    }
-
-    fn exec_sweep<P: Protocol + ?Sized>(
+    fn exec_scalar<P: Protocol + ?Sized, O: RunObserver>(
         &self,
         plan: &Plan,
         protocol: &mut P,
         rng: &mut Xoshiro256pp,
+        observer: &mut O,
     ) -> RunResult {
-        let (provider, shards) = self.provider_and_shards(plan);
-        let source = self.start.single_source();
-        match self.fault_plan {
-            None => run_sweep_scalar_core(provider, shards, source, protocol, self.config, rng),
-            Some(fp) => {
-                run_sweep_faulty_core(provider, shards, source, protocol, self.config, fp, rng)
+        match plan.engine {
+            PlannedEngine::Round(kernel) => {
+                let engine = RoundEngine::new(self.explicit_graph()).with_kernel(kernel);
+                run_scalar(self, engine, protocol, rng, observer)
             }
+            PlannedEngine::Sweep => {
+                let engine = SweepEngine::new(self.provider(), plan.shards);
+                run_scalar(self, engine, protocol, rng, observer)
+            }
+            other => panic!("a scalar run needs lanes = 1, planner chose {other:?}"),
+        }
+    }
+
+    /// The graph source as a provider (explicit CSR graphs are providers
+    /// too).
+    pub(crate) fn provider(&self) -> &'a dyn GraphProvider {
+        match &self.graph {
+            GraphSource::Csr(g) => *g,
+            GraphSource::Provider { provider, .. } => *provider,
+        }
+    }
+
+    /// The explicit adjacency an explicit-engine plan runs on.
+    pub(crate) fn explicit_graph(&self) -> &'a Graph {
+        self.provider()
+            .as_explicit()
+            .expect("planned an explicit engine on a non-explicit provider")
+    }
+
+    /// The start state of a scalar run on `n` nodes.
+    pub(crate) fn start_state(&self, n: usize) -> BroadcastState {
+        match &self.start {
+            StartState::Source(s) => BroadcastState::new(n, *s),
+            StartState::Sources(v) => BroadcastState::with_sources(n, v),
+        }
+    }
+
+    /// The source of a single-source run; [`RunSpec::plan`] keeps
+    /// multi-source starts off every lane engine.
+    pub(crate) fn single_source(&self) -> NodeId {
+        match self.start {
+            StartState::Source(s) => s,
+            StartState::Sources(_) => unreachable!("multi-source start on a lane engine"),
         }
     }
 }
@@ -597,8 +532,10 @@ impl<'a> RunSpec<'a> {
 mod tests {
     use super::*;
     use crate::kernel::KernelUsed;
+    use crate::observer::{CollectingObserver, RoundEvent};
     use crate::protocol::LocalNode;
     use radio_graph::ImplicitGnp;
+    use std::panic::AssertUnwindSafe;
 
     struct HalfCoin;
     impl Protocol for HalfCoin {
@@ -731,15 +668,10 @@ mod tests {
             PlannedEngine::Round(EngineKernel::Auto)
         );
         let mut rng = child_rng(42, 0);
-        let want = crate::protocol::scalar_observed_core(
-            &g,
-            BroadcastState::new(300, 0),
-            &mut HalfCoin,
-            cfg,
-            &mut rng,
-            &mut NoopObserver,
-        );
-        assert_eq!(outcome.into_single(), want);
+        let want = RunSpec::on_graph(&g, 0)
+            .with_config(cfg)
+            .run_with_rng(&mut HalfCoin, &mut rng);
+        assert_eq!(outcome.into_single(), want.into_single());
     }
 
     /// The batch plan's lanes each match the scalar engine on their
@@ -757,14 +689,10 @@ mod tests {
         assert_eq!(outcome.lanes.len(), 8);
         for (l, got) in outcome.lanes.iter().enumerate() {
             let mut rng = child_rng(7, l as u64);
-            let mut want = crate::protocol::scalar_observed_core(
-                &g,
-                BroadcastState::new(200, 0),
-                &mut HalfCoin,
-                cfg,
-                &mut rng,
-                &mut NoopObserver,
-            );
+            let mut want = RunSpec::on_graph(&g, 0)
+                .with_config(cfg)
+                .run_with_rng(&mut HalfCoin, &mut rng)
+                .into_single();
             want.kernel = KernelUsed::Batch;
             assert_eq!(*got, want, "lane {l}");
         }
@@ -791,5 +719,92 @@ mod tests {
     fn zero_lanes_rejected() {
         let g = Graph::path(3);
         let _ = RunSpec::on_graph(&g, 0).with_lanes(0).plan();
+    }
+
+    /// Every plan rejects the same out-of-range loss values, however
+    /// `loss_prob` was set: lanes 1 and 8 × explicit and implicit sources.
+    #[test]
+    fn every_plan_rejects_bad_loss() {
+        let imp = ImplicitGnp::new(64, 0.1, 3);
+        let g = imp.materialize();
+        for bad in [1.5, f64::NAN, -0.1] {
+            let mut cfg = RunConfig::for_graph(64);
+            cfg.loss_prob = bad;
+            for lanes in [1, 8] {
+                for spec in [RunSpec::on_graph(&g, 0), RunSpec::on_provider(&imp, 1, 0)] {
+                    let spec = spec.with_config(cfg).with_lanes(lanes);
+                    let err =
+                        std::panic::catch_unwind(AssertUnwindSafe(|| spec.run(&mut HalfCoin)))
+                            .expect_err("bad loss must be rejected");
+                    let msg = err.downcast_ref::<String>().expect("formatted panic");
+                    assert!(
+                        msg.contains("loss_prob"),
+                        "loss {bad}, lanes {lanes}: {msg}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-source")]
+    fn multi_source_rejects_lanes() {
+        let g = Graph::path(4);
+        let _ = RunSpec::on_graph(&g, 0)
+            .with_sources(&[0, 3])
+            .with_lanes(2)
+            .plan();
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-source")]
+    fn multi_source_rejects_provider_sweeps() {
+        let imp = ImplicitGnp::new(16, 0.3, 1);
+        let _ = RunSpec::on_provider(&imp, 1, 0)
+            .with_sources(&[0, 3])
+            .plan();
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-source")]
+    fn multi_source_rejects_faults() {
+        let g = Graph::path(4);
+        let plan = FaultPlan::new(4);
+        let _ = RunSpec::on_graph(&g, 0)
+            .with_sources(&[0, 3])
+            .with_faults(&plan)
+            .plan();
+    }
+
+    /// An observed provider run is the unobserved one: same result, same
+    /// residual RNG, and its events replay the per-round trace.
+    #[test]
+    fn observed_provider_runs_match_unobserved() {
+        let imp = ImplicitGnp::new(300, 0.03, 4);
+        let mut plan = FaultPlan::new(300);
+        plan.crash(5, 3).jam(9, 2, 6).set_burst(0.2, 0.3);
+        let cfg = RunConfig::for_graph(300).with_loss(0.1);
+        for faults in [None, Some(&plan)] {
+            let mut spec = RunSpec::on_provider(&imp, 2, 0).with_config(cfg);
+            if let Some(p) = faults {
+                spec = spec.with_faults(p);
+            }
+            assert_eq!(spec.plan().engine, PlannedEngine::Sweep);
+            let (mut rng_a, mut rng_b) = (Xoshiro256pp::new(8), Xoshiro256pp::new(8));
+            let want = spec.run_with_rng(&mut HalfCoin, &mut rng_a).into_single();
+            let mut obs = CollectingObserver::with_timing();
+            let got = spec.run_observed(&mut HalfCoin, &mut rng_b, &mut obs);
+            assert_eq!(got.into_single(), want);
+            assert_eq!(rng_a.next(), rng_b.next());
+            let events: Vec<RoundEvent> = (obs.events.iter())
+                .map(|e| RoundEvent {
+                    elapsed_ns: 0,
+                    ..*e
+                })
+                .collect();
+            let trace: Vec<RoundEvent> = want.trace.iter().map(|r| r.to_event()).collect();
+            assert_eq!(events, trace);
+            assert_eq!(obs.fault_events, want.fault_events);
+        }
     }
 }

@@ -905,12 +905,6 @@ impl<'p> LaneFaultSession<'p> {
         &self.jammers
     }
 
-    /// Lanes of group 0 whose burst channel at `v` is currently bad
-    /// (the single-group batch-kernel view).
-    pub(crate) fn burst_word(&self, v: NodeId) -> u64 {
-        self.burst_bad[v as usize * self.groups]
-    }
-
     /// Per-group burst words at `v` (`groups` words).
     pub(crate) fn burst_words(&self, v: NodeId) -> &[u64] {
         let base = v as usize * self.groups;
@@ -1188,7 +1182,7 @@ mod tests {
             for v in 0..7 {
                 assert_eq!(
                     scalar.burst_bad(v),
-                    lane_session.burst_word(v) >> l & 1 == 1,
+                    lane_session.burst_words(v)[0] >> l & 1 == 1,
                     "lane {l} node {v}"
                 );
             }

@@ -49,7 +49,7 @@ pub enum EngineKernel {
     /// memory cap; falls back to sparse otherwise.
     Dense,
     /// The tiled SIMD + multithreaded many-lane kernel
-    /// ([`crate::tiled::run_protocol_tiled`]).  On the scalar
+    /// ([`crate::tiled`]).  On the scalar
     /// [`crate::engine::RoundEngine`] it executes as the dense kernel
     /// (one lane needs no lane tiling) but is counted separately so the
     /// selection is visible in reports.
@@ -83,7 +83,7 @@ pub enum KernelUsed {
     /// `Auto` switched kernels between rounds within the run.
     Mixed,
     /// The run was one lane of a lane-batched execution
-    /// ([`crate::batch::run_protocol_batch`]), which resolves all trial
+    /// ([`crate::batch`]), which resolves all trial
     /// lanes with its own two-plane sweep rather than either per-run
     /// kernel.
     Batch,
@@ -92,7 +92,7 @@ pub enum KernelUsed {
     /// which never materializes an adjacency.
     Sweep,
     /// The run was one lane of the tiled SIMD + multithreaded kernel
-    /// ([`crate::tiled::run_protocol_tiled`]), which resolves up to
+    /// ([`crate::tiled`]), which resolves up to
     /// 1024 lanes per adjacency sweep across a scoped thread pool.
     Tiled,
 }

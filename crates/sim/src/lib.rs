@@ -34,13 +34,12 @@
 //! implicit `G(n, p)` backend for `n = 10⁷`-scale runs and the sharded
 //! row-range sweep, both lane-batchable up to 64 trials per regenerated
 //! edge stream — with the same bit-identity guarantee (see [`sweep`]
-//! and `docs/ARCHITECTURE.md`).  The historical `run_protocol_*`
-//! entry points remain as deprecated shims over [`exec`] for one release.
+//! and `docs/ARCHITECTURE.md`).
 //!
 //! ## Telemetry
 //!
-//! Both runners have `*_observed` variants ([`run_schedule_observed`],
-//! [`run_protocol_observed`]) that stream per-round [`RoundEvent`]s into a
+//! Both execution styles have observed variants ([`run_schedule_observed`],
+//! [`RunSpec::run_observed`]) that stream per-round [`RoundEvent`]s into a
 //! [`RunObserver`].  The default [`NoopObserver`] is zero-cost (empty,
 //! monomorphized hooks); [`CollectingObserver`] captures the full event
 //! stream, optionally with per-round wall-clock.  The [`report`] module
@@ -75,6 +74,7 @@
 pub mod batch;
 pub mod bitset;
 pub mod combinators;
+mod driver;
 pub mod engine;
 pub mod exec;
 pub mod fault;
@@ -95,8 +95,6 @@ pub mod trace;
 pub mod wide;
 
 pub use batch::MAX_LANES;
-#[allow(deprecated)]
-pub use batch::{run_protocol_batch, run_protocol_batch_faulty};
 pub use combinators::{Named, Staged};
 pub use engine::{RoundEngine, RoundOutcome, TransmitterPolicy};
 pub use exec::{GraphSource, Plan, PlannedEngine, RunOutcome, RunSpec};
@@ -108,24 +106,12 @@ pub use json::Json;
 pub use kernel::{EngineKernel, KernelUsed};
 pub use metrics::RunMetrics;
 pub use observer::{CollectingObserver, NoopObserver, RoundEvent, RunObserver};
-#[allow(deprecated)]
-pub use protocol::{
-    run_protocol, run_protocol_faulty, run_protocol_faulty_observed, run_protocol_from,
-    run_protocol_multi, run_protocol_observed,
-};
 pub use protocol::{LocalNode, Protocol, RunConfig};
 pub use report::RunReport;
 pub use runner::{parse_radio_threads, run_trials, run_trials_serial, thread_budget};
-pub use schedule::{
-    run_schedule, run_schedule_observed, run_schedule_observed_with_kernel,
-    run_schedule_with_kernel, Schedule,
-};
+pub use schedule::{run_schedule, run_schedule_observed, Schedule};
 pub use schedule_io::{load_schedule, save_schedule};
 pub use state::BroadcastState;
 pub use sweep::{resolve_backend, Backend, SweepEngine};
-#[allow(deprecated)]
-pub use sweep::{run_protocol_provider, run_protocol_provider_faulty};
 pub use tiled::MAX_TILED_LANES;
-#[allow(deprecated)]
-pub use tiled::{run_protocol_tiled, run_protocol_tiled_faulty, run_protocol_tiled_with_threads};
 pub use trace::{RoundRecord, RunResult, TraceLevel};

@@ -11,7 +11,7 @@
 //! ```
 //! use radio_graph::{Graph, Xoshiro256pp};
 //! use radio_sim::observer::CollectingObserver;
-//! use radio_sim::{run_protocol_observed, Protocol, LocalNode, RunConfig};
+//! use radio_sim::{LocalNode, Protocol, RunSpec};
 //!
 //! struct Flood;
 //! impl Protocol for Flood {
@@ -22,7 +22,9 @@
 //! let g = Graph::path(6);
 //! let mut rng = Xoshiro256pp::new(1);
 //! let mut obs = CollectingObserver::new();
-//! let r = run_protocol_observed(&g, 0, &mut Flood, RunConfig::for_graph(6), &mut rng, &mut obs);
+//! let r = RunSpec::on_graph(&g, 0)
+//!     .run_observed(&mut Flood, &mut rng, &mut obs)
+//!     .into_single();
 //! assert!(r.completed);
 //! assert_eq!(obs.events.len() as u32, r.rounds);
 //! assert_eq!(obs.events.last().unwrap().informed_after, 6);

@@ -1,4 +1,4 @@
-//! The distributed-protocol interface and its runner.
+//! The distributed-protocol interface.
 //!
 //! A distributed radio-broadcast protocol, in the model of §3.2 of the
 //! paper, has **no topology knowledge**: a node's transmit decision in round
@@ -10,19 +10,13 @@
 //! than a convention.
 //!
 //! [`crate::exec::RunSpec`] drives a protocol over a concrete graph with
-//! the exact collision semantics of [`RoundEngine`]; the historical
-//! `run_protocol*` entry points in this module are deprecated shims over
-//! it.
+//! the exact collision semantics of
+//! [`RoundEngine`](crate::engine::RoundEngine).
 
-use radio_graph::{Graph, NodeId, Xoshiro256pp};
+use radio_graph::{NodeId, Xoshiro256pp};
 
-use crate::engine::RoundEngine;
-use crate::exec::RunSpec;
-use crate::fault::{FaultEvent, FaultPlan, FaultSession};
 use crate::kernel::EngineKernel;
-use crate::observer::{RoundEvent, RunObserver};
-use crate::state::BroadcastState;
-use crate::trace::{RunResult, TraceBuilder, TraceLevel};
+use crate::trace::TraceLevel;
 
 /// The locally observable state of one informed node at decision time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +51,7 @@ pub trait Protocol {
     fn transmits(&mut self, node: LocalNode, rng: &mut Xoshiro256pp) -> bool;
 
     /// Lane-batched decision: one transmit bit per trial lane for node
-    /// `id`, for every lane set in the `lanes` mask (see
-    /// [`crate::batch::run_protocol_batch`]).
+    /// `id`, for every lane set in the `lanes` mask (see [`crate::batch`]).
     ///
     /// `informed_round[l]` is the round lane `l`'s copy of the node became
     /// informed, and `rngs[l]` is lane `l`'s private coin stream.  The
@@ -121,7 +114,7 @@ impl<P: Protocol + ?Sized> Protocol for Box<P> {
     }
 }
 
-/// Configuration for [`run_protocol`].
+/// Configuration of one protocol run (see [`crate::exec::RunSpec`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// Hard cap on rounds; runs that do not complete report
@@ -178,299 +171,39 @@ impl RunConfig {
     }
 }
 
-/// Runs `protocol` on `graph` from `source` until completion or the round
-/// budget is exhausted.
-#[deprecated(since = "0.1.0", note = "use radio_sim::exec::RunSpec::on_graph")]
-pub fn run_protocol<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
-/// Multi-source variant of [`run_protocol`]: every node of `sources` starts
-/// informed at round 0.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_sources(..)"
-)]
-pub fn run_protocol_multi<P: Protocol + ?Sized>(
-    graph: &Graph,
-    sources: &[NodeId],
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_graph(graph, 0)
-        .with_sources(sources)
-        .with_config(config)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
-/// Runs `protocol` from an arbitrary initial knowledge state.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_state(..)"
-)]
-pub fn run_protocol_from<P: Protocol + ?Sized>(
-    graph: &Graph,
-    state: BroadcastState,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_graph(graph, 0)
-        .with_state(state)
-        .with_config(config)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
-/// Like [`run_protocol`], but streams per-round telemetry into `observer`.
-///
-/// With [`NoopObserver`](crate::observer::NoopObserver) (what the plain
-/// runners pass) the hooks compile away; see [`crate::observer`] for the
-/// event model.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).run_observed(..)"
-)]
-pub fn run_protocol_observed<P: Protocol + ?Sized, O: RunObserver>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-    observer: &mut O,
-) -> RunResult {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .run_observed(protocol, rng, observer)
-        .into_single()
-}
-
-/// Observer-instrumented runner from an arbitrary initial state.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_state(..).run_observed(..)"
-)]
-pub fn run_protocol_from_observed<P: Protocol + ?Sized, O: RunObserver>(
-    graph: &Graph,
-    state: BroadcastState,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-    observer: &mut O,
-) -> RunResult {
-    RunSpec::on_graph(graph, 0)
-        .with_state(state)
-        .with_config(config)
-        .run_observed(protocol, rng, observer)
-        .into_single()
-}
-
-/// Observer-instrumented scalar core: the execution body behind every
-/// fault-free [`crate::exec::RunSpec`] round-engine plan.
-pub(crate) fn scalar_observed_core<P: Protocol + ?Sized, O: RunObserver>(
-    graph: &Graph,
-    mut state: BroadcastState,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-    observer: &mut O,
-) -> RunResult {
-    let n = graph.n();
-    assert_eq!(state.n(), n, "state size mismatch");
-    let mut engine = RoundEngine::new(graph).with_kernel(config.kernel);
-    let mut tb = TraceBuilder::new(config.trace_level);
-    protocol.begin_run(n);
-    observer.on_run_start(n, state.informed_count());
-
-    let mut transmitters: Vec<NodeId> = Vec::new();
-    let mut round = 0u32;
-    while !state.is_complete() && round < config.max_rounds {
-        round += 1;
-        transmitters.clear();
-        for v in state.informed_nodes() {
-            let local = LocalNode {
-                id: v,
-                informed_round: state.informed_round(v).unwrap(),
-                round,
-            };
-            if protocol.transmits(local, rng) {
-                transmitters.push(v);
-            }
-        }
-        let started = observer.wants_timing().then(std::time::Instant::now);
-        let outcome = if config.loss_prob > 0.0 {
-            engine.execute_round_lossy(&mut state, &transmitters, round, config.loss_prob, rng)
-        } else {
-            engine.execute_round(&mut state, &transmitters, round)
-        };
-        let elapsed_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        tb.record(round, &outcome, state.informed_count());
-        observer.on_round(&RoundEvent::from_outcome(
-            round,
-            &outcome,
-            state.informed_count(),
-            elapsed_ns,
-        ));
-    }
-
-    let completed = state.is_complete();
-    let informed = state.informed_count();
-    observer.on_run_end(completed, round, informed);
-    let mut result = tb.finish(completed, round, informed, n);
-    result.kernel = engine.kernel_used();
-    result
-}
-
-/// Runs `protocol` on `graph` under the fault plan `plan`.
-///
-/// Crashed and sleeping nodes neither transmit nor receive; jammers force
-/// collisions on their neighborhoods; a node whose Gilbert–Elliott channel
-/// is in the bad state loses every reception that round.  Independent
-/// per-reception loss (`config.loss_prob`) composes on top.  See
-/// `docs/ROBUSTNESS.md` for the full semantics and the determinism
-/// contract.
-///
-/// The result carries graceful-degradation metrics: fault events in
-/// [`RunResult::fault_events`], and a [`crate::FaultSummary`] (coverage of
-/// the *live reachable* subgraph) in [`RunResult::faults`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_faults(..)"
-)]
-pub fn run_protocol_faulty<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_faults(plan)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
-/// Like [`run_protocol_faulty`], but streams round and fault telemetry into
-/// `observer` (fault events via [`RunObserver::on_fault`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_faults(..).run_observed(..)"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_protocol_faulty_observed<P: Protocol + ?Sized, O: RunObserver>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    rng: &mut Xoshiro256pp,
-    observer: &mut O,
-) -> RunResult {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_faults(plan)
-        .run_observed(protocol, rng, observer)
-        .into_single()
-}
-
-/// Observer-instrumented faulty scalar core: the execution body behind
-/// every faulted [`crate::exec::RunSpec`] round-engine plan.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scalar_faulty_observed_core<P: Protocol + ?Sized, O: RunObserver>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    rng: &mut Xoshiro256pp,
-    observer: &mut O,
-) -> RunResult {
-    let n = graph.n();
-    assert_eq!(plan.n(), n, "fault plan size mismatch");
-    let mut state = BroadcastState::new(n, source);
-    let mut engine = RoundEngine::new(graph).with_kernel(config.kernel);
-    let mut tb = TraceBuilder::new(config.trace_level);
-    let mut session = FaultSession::new(plan);
-    protocol.begin_run(n);
-    observer.on_run_start(n, state.informed_count());
-
-    let mut fault_events: Vec<FaultEvent> = Vec::new();
-    let mut transmitters: Vec<NodeId> = Vec::new();
-    let mut round = 0u32;
-    while !state.is_complete() && round < config.max_rounds {
-        round += 1;
-        // Faults fire (and burst channels step) before any decision coin.
-        let fired = session.begin_round(round, rng);
-        for ev in fired {
-            observer.on_fault(ev);
-        }
-        fault_events.extend_from_slice(fired);
-
-        transmitters.clear();
-        for v in state.informed_nodes() {
-            // Crashed, asleep, and jamming nodes draw no decision coin.
-            if session.mute(v) {
-                continue;
-            }
-            let local = LocalNode {
-                id: v,
-                informed_round: state.informed_round(v).unwrap(),
-                round,
-            };
-            if protocol.transmits(local, rng) {
-                transmitters.push(v);
-            }
-        }
-        let started = observer.wants_timing().then(std::time::Instant::now);
-        let outcome = engine.execute_round_faulty(
-            &mut state,
-            &transmitters,
-            round,
-            &session,
-            config.loss_prob,
-            rng,
-        );
-        let elapsed_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        tb.record(round, &outcome, state.informed_count());
-        observer.on_round(&RoundEvent::from_outcome(
-            round,
-            &outcome,
-            state.informed_count(),
-            elapsed_ns,
-        ));
-    }
-
-    let completed = state.is_complete();
-    let informed = state.informed_count();
-    observer.on_run_end(completed, round, informed);
-    let summary = plan
-        .live_view(graph, round, source)
-        .summary(|v| state.is_informed(v));
-    let mut result = tb.finish(completed, round, informed, n);
-    result.kernel = engine.kernel_used();
-    result.fault_events = fault_events;
-    result.faults = Some(summary);
-    result
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::exec::RunSpec;
+    use crate::trace::RunResult;
     use radio_graph::Graph;
+
+    fn run<P: Protocol>(
+        g: &Graph,
+        source: NodeId,
+        protocol: &mut P,
+        cfg: RunConfig,
+        rng: &mut Xoshiro256pp,
+    ) -> RunResult {
+        RunSpec::on_graph(g, source)
+            .with_config(cfg)
+            .run_with_rng(protocol, rng)
+            .into_single()
+    }
+
+    fn run_multi<P: Protocol>(
+        g: &Graph,
+        sources: &[NodeId],
+        protocol: &mut P,
+        cfg: RunConfig,
+        rng: &mut Xoshiro256pp,
+    ) -> RunResult {
+        RunSpec::on_graph(g, sources[0])
+            .with_sources(sources)
+            .with_config(cfg)
+            .run_with_rng(protocol, rng)
+            .into_single()
+    }
 
     /// Every informed node always transmits (naive flooding).
     struct AlwaysTransmit;
@@ -501,7 +234,7 @@ mod tests {
         // neighbors; frontier moves fine from an endpoint source.
         let g = Graph::path(10);
         let mut rng = Xoshiro256pp::new(1);
-        let r = run_protocol(
+        let r = run(
             &g,
             0,
             &mut AlwaysTransmit,
@@ -517,7 +250,7 @@ mod tests {
         let g = Graph::path(3);
         let mut rng = Xoshiro256pp::new(1);
         let cfg = RunConfig::for_graph(3).with_max_rounds(17);
-        let r = run_protocol(&g, 0, &mut NeverTransmit, cfg, &mut rng);
+        let r = run(&g, 0, &mut NeverTransmit, cfg, &mut rng);
         assert!(!r.completed);
         assert_eq!(r.rounds, 17);
         assert_eq!(r.informed, 1);
@@ -531,7 +264,7 @@ mod tests {
         let g = Graph::from_edges(4, vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
         let mut rng = Xoshiro256pp::new(1);
         let cfg = RunConfig::for_graph(4).with_max_rounds(50);
-        let r = run_protocol(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
+        let r = run(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
         assert!(!r.completed);
         assert_eq!(r.informed, 3);
         assert!(r.total_collisions() > 0);
@@ -541,7 +274,7 @@ mod tests {
     fn single_node_completes_immediately() {
         let g = Graph::empty(1);
         let mut rng = Xoshiro256pp::new(1);
-        let r = run_protocol(
+        let r = run(
             &g,
             0,
             &mut AlwaysTransmit,
@@ -557,7 +290,7 @@ mod tests {
         let g = Graph::path(5);
         let mut rng = Xoshiro256pp::new(1);
         let cfg = RunConfig::for_graph(5).with_trace(TraceLevel::SummaryOnly);
-        let r = run_protocol(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
+        let r = run(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
         assert!(r.completed);
         assert!(r.trace.is_empty());
     }
@@ -573,7 +306,7 @@ mod tests {
     fn multi_source_run_is_faster_on_path() {
         let g = Graph::path(21);
         let mut rng = Xoshiro256pp::new(9);
-        let single = run_protocol(
+        let single = run(
             &g,
             0,
             &mut AlwaysTransmit,
@@ -583,7 +316,7 @@ mod tests {
         // Source distance must be odd: two flooding frontiers meeting at a
         // midpoint with even separation collide there forever — itself a
         // nice demonstration of the radio model.
-        let multi = run_protocol_multi(
+        let multi = run_multi(
             &g,
             &[0, 5],
             &mut AlwaysTransmit,
@@ -593,7 +326,7 @@ mod tests {
         assert!(single.completed && multi.completed);
         assert!(multi.rounds < single.rounds);
 
-        let colliding = run_protocol_multi(
+        let colliding = run_multi(
             &g,
             &[0, 20],
             &mut AlwaysTransmit,
@@ -611,7 +344,7 @@ mod tests {
         let g = Graph::path(10);
         let mut rng = Xoshiro256pp::new(10);
         let cfg = RunConfig::for_graph(10).with_loss(0.3);
-        let r = run_protocol(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
+        let r = run(&g, 0, &mut AlwaysTransmit, cfg, &mut rng);
         assert!(r.completed);
         // Losses force retries: strictly more rounds than the lossless 9.
         assert!(r.rounds >= 9);

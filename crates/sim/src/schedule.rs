@@ -11,7 +11,6 @@
 use radio_graph::{Graph, NodeId};
 
 use crate::engine::{RoundEngine, TransmitterPolicy};
-use crate::kernel::EngineKernel;
 use crate::observer::{NoopObserver, RoundEvent, RunObserver};
 use crate::state::BroadcastState;
 use crate::trace::{RunResult, TraceBuilder, TraceLevel};
@@ -102,27 +101,6 @@ pub fn run_schedule(
     )
 }
 
-/// Like [`run_schedule`], but with an explicit round-kernel selection
-/// (replays use [`EngineKernel::Auto`] by default; see [`crate::kernel`]).
-pub fn run_schedule_with_kernel(
-    graph: &Graph,
-    source: NodeId,
-    schedule: &Schedule,
-    policy: TransmitterPolicy,
-    trace_level: TraceLevel,
-    kernel: EngineKernel,
-) -> RunResult {
-    run_schedule_observed_with_kernel(
-        graph,
-        source,
-        schedule,
-        policy,
-        trace_level,
-        kernel,
-        &mut NoopObserver,
-    )
-}
-
 /// Like [`run_schedule`], but streams per-round telemetry into `observer`
 /// (see [`crate::observer`] for the event model; the no-op default costs
 /// nothing).
@@ -134,32 +112,9 @@ pub fn run_schedule_observed<O: RunObserver>(
     trace_level: TraceLevel,
     observer: &mut O,
 ) -> RunResult {
-    run_schedule_observed_with_kernel(
-        graph,
-        source,
-        schedule,
-        policy,
-        trace_level,
-        EngineKernel::default(),
-        observer,
-    )
-}
-
-/// Observer-instrumented, kernel-selectable core; every other schedule
-/// entry point delegates here.
-#[allow(clippy::too_many_arguments)]
-pub fn run_schedule_observed_with_kernel<O: RunObserver>(
-    graph: &Graph,
-    source: NodeId,
-    schedule: &Schedule,
-    policy: TransmitterPolicy,
-    trace_level: TraceLevel,
-    kernel: EngineKernel,
-    observer: &mut O,
-) -> RunResult {
     let n = graph.n();
     let mut state = BroadcastState::new(n, source);
-    let mut engine = RoundEngine::with_policy(graph, policy).with_kernel(kernel);
+    let mut engine = RoundEngine::with_policy(graph, policy);
     let mut tb = TraceBuilder::new(trace_level);
     observer.on_run_start(n, state.informed_count());
     let mut round = 0u32;

@@ -24,29 +24,25 @@
 //!
 //! ## Determinism contract
 //!
-//! [`run_protocol_provider`] and [`run_protocol_provider_faulty`] replicate
-//! the coin-draw order of the scalar round engine ([`RunSpec`])
-//! draw-for-draw: fault coins at round start, decision coins per informed
-//! node in ascending id, then one loss coin per exactly-one reception in
+//! Both sweep engines run under the shared protocol loops of the
+//! crate-private `driver` module, which draw every coin in the scalar
+//! order: fault coins at round start, decision coins per informed node
+//! in ascending id, then one loss coin per exactly-one reception in
 //! ascending id.  An implicit run and an explicit run on
-//! [`GraphProvider::materialize`]'s graph are bit-identical — same informed
-//! sets, same traces, same residual RNG stream.
+//! [`GraphProvider::materialize`]'s graph are bit-identical — same
+//! informed sets, same traces, same residual RNG stream.
 
 use radio_graph::{
-    child_rng, shard_ranges, AdjacencyBitmap, BitmapCapError, GraphProvider, ImplicitGnp, NodeId,
-    Xoshiro256pp,
+    shard_ranges, AdjacencyBitmap, BitmapCapError, GraphProvider, ImplicitGnp, NodeId, Xoshiro256pp,
 };
 use std::ops::Range;
 
-use crate::batch::{lane_mask, MAX_LANES};
 use crate::bitset::BitSet;
+use crate::driver::LaneMerge;
 use crate::engine::RoundOutcome;
-use crate::exec::RunSpec;
-use crate::fault::{FaultEvent, FaultPlan, FaultSession, LaneFaultSession, LiveView};
+use crate::fault::FaultSession;
 use crate::kernel::{KernelUsed, DEFAULT_BITMAP_CAP_BYTES};
-use crate::protocol::{LocalNode, Protocol, RunConfig};
-use crate::state::{BroadcastState, NOT_INFORMED};
-use crate::trace::{RoundRecord, RunResult, TraceBuilder, TraceLevel};
+use crate::state::BroadcastState;
 
 /// Which graph backend a run executes on.
 ///
@@ -228,6 +224,11 @@ impl<'p> SweepEngine<'p> {
     /// Rounds executed so far.
     pub fn rounds_executed(&self) -> u64 {
         self.rounds
+    }
+
+    /// The kernel this engine reports: always [`KernelUsed::Sweep`].
+    pub fn kernel_used(&self) -> KernelUsed {
+        KernelUsed::Sweep
     }
 
     /// Executes one radio round (exact model, no faults).  Mirrors
@@ -416,178 +417,6 @@ impl<'p> SweepEngine<'p> {
     }
 }
 
-/// Runs `protocol` on any [`GraphProvider`] backend.
-///
-/// With `shards ≤ 1` and an explicit backend this is exactly the scalar
-/// round engine (it keeps its sparse/dense fast paths);
-/// otherwise the run executes on the [`SweepEngine`] and reports
-/// [`KernelUsed::Sweep`].  Either way the result is bit-identical to the
-/// explicit run on [`GraphProvider::materialize`]'s graph.
-#[deprecated(since = "0.1.0", note = "use radio_sim::exec::RunSpec::on_provider")]
-pub fn run_protocol_provider<P: Protocol + ?Sized>(
-    provider: &dyn GraphProvider,
-    shards: usize,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_provider(provider, shards, source)
-        .with_config(config)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
-/// Scalar sweep core: the body behind every
-/// [`PlannedEngine::Sweep`](crate::exec::PlannedEngine::Sweep) plan.
-/// (The shards ≤ 1 + explicit-adjacency fast path lives in the planner,
-/// which routes such specs to the round engine instead.)
-pub(crate) fn run_sweep_scalar_core<P: Protocol + ?Sized>(
-    provider: &dyn GraphProvider,
-    shards: usize,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    let n = provider.n();
-    let mut state = BroadcastState::new(n, source);
-    let mut engine = SweepEngine::new(provider, shards);
-    let mut tb = TraceBuilder::new(config.trace_level);
-    protocol.begin_run(n);
-
-    let mut transmitters: Vec<NodeId> = Vec::new();
-    let mut round = 0u32;
-    while !state.is_complete() && round < config.max_rounds {
-        round += 1;
-        transmitters.clear();
-        for v in state.informed_nodes() {
-            let local = LocalNode {
-                id: v,
-                informed_round: state.informed_round(v).unwrap(),
-                round,
-            };
-            if protocol.transmits(local, rng) {
-                transmitters.push(v);
-            }
-        }
-        let outcome = if config.loss_prob > 0.0 {
-            engine.execute_round_lossy(&mut state, &transmitters, round, config.loss_prob, rng)
-        } else {
-            engine.execute_round(&mut state, &transmitters, round)
-        };
-        tb.record(round, &outcome, state.informed_count());
-    }
-
-    let completed = state.is_complete();
-    let informed = state.informed_count();
-    let mut result = tb.finish(completed, round, informed, n);
-    result.kernel = KernelUsed::Sweep;
-    result
-}
-
-/// Runs `protocol` on a [`GraphProvider`] backend under a fault plan;
-/// the provider analogue of the scalar faulty runner.
-///
-/// The graceful-degradation [`FaultSummary`](crate::fault::FaultSummary)
-/// needs explicit adjacency for its live-subgraph BFS, so purely implicit
-/// backends **materialize once at the end of the run** to compute it —
-/// `O(n + m)` extra memory, fine at differential-test sizes but
-/// deliberately avoided by the fault-free scale runner above.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_provider(..).with_faults(..)"
-)]
-pub fn run_protocol_provider_faulty<P: Protocol + ?Sized>(
-    provider: &dyn GraphProvider,
-    shards: usize,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    RunSpec::on_provider(provider, shards, source)
-        .with_config(config)
-        .with_faults(plan)
-        .run_with_rng(protocol, rng)
-        .into_single()
-}
-
-/// Faulted scalar sweep core (see [`run_sweep_scalar_core`]); computes
-/// the graceful-degradation summary by materializing purely implicit
-/// backends once at the end of the run.
-pub(crate) fn run_sweep_faulty_core<P: Protocol + ?Sized>(
-    provider: &dyn GraphProvider,
-    shards: usize,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    rng: &mut Xoshiro256pp,
-) -> RunResult {
-    let n = provider.n();
-    assert_eq!(plan.n(), n, "fault plan size mismatch");
-    let mut state = BroadcastState::new(n, source);
-    let mut engine = SweepEngine::new(provider, shards);
-    let mut tb = TraceBuilder::new(config.trace_level);
-    let mut session = FaultSession::new(plan);
-    protocol.begin_run(n);
-
-    let mut fault_events: Vec<FaultEvent> = Vec::new();
-    let mut transmitters: Vec<NodeId> = Vec::new();
-    let mut round = 0u32;
-    while !state.is_complete() && round < config.max_rounds {
-        round += 1;
-        // Faults fire (and burst channels step) before any decision coin.
-        fault_events.extend_from_slice(session.begin_round(round, rng));
-
-        transmitters.clear();
-        for v in state.informed_nodes() {
-            // Crashed, asleep, and jamming nodes draw no decision coin.
-            if session.mute(v) {
-                continue;
-            }
-            let local = LocalNode {
-                id: v,
-                informed_round: state.informed_round(v).unwrap(),
-                round,
-            };
-            if protocol.transmits(local, rng) {
-                transmitters.push(v);
-            }
-        }
-        let outcome = engine.execute_round_faulty(
-            &mut state,
-            &transmitters,
-            round,
-            &session,
-            config.loss_prob,
-            rng,
-        );
-        tb.record(round, &outcome, state.informed_count());
-    }
-
-    let completed = state.is_complete();
-    let informed = state.informed_count();
-    let materialized;
-    let graph = match provider.as_explicit() {
-        Some(g) => g,
-        None => {
-            materialized = provider.materialize();
-            &materialized
-        }
-    };
-    let summary = plan
-        .live_view(graph, round, source)
-        .summary(|v| state.is_informed(v));
-    let mut result = tb.finish(completed, round, informed, n);
-    result.kernel = KernelUsed::Sweep;
-    result.fault_events = fault_events;
-    result.faults = Some(summary);
-    result
-}
-
 /// Per-shard lane scratch: two-plane saturating counters over trial
 /// lanes (`planes[v] = [ge1, ge2]`, the lanes with ≥ 1 / ≥ 2
 /// transmitting neighbors of `v` so far) plus jam-noise bits — the
@@ -645,364 +474,95 @@ fn fill_lane_shard(
     });
 }
 
-/// Lane-batched provider sweep: the body behind every
-/// [`PlannedEngine::LaneSweep`](crate::exec::PlannedEngine::LaneSweep)
-/// plan — up to [`MAX_LANES`] independent trials resolved per
-/// regenerated edge stream, so implicit backends amortize edge
-/// regeneration across a whole batch of trials.
+/// The lane-sweep engine's [`LaneMerge`]: up to [`crate::MAX_LANES`]
+/// trials resolved per regenerated edge stream, so implicit backends
+/// amortize edge regeneration across a whole batch of trials.
 ///
-/// Lane `l` is **bit-identical** to the scalar runners on
-/// `child_rng(master_seed, l)` — the same contract the batch kernel
-/// pins.  The core replays the scalar coin order within every lane
-/// (fault/burst coins at round start, node-major and lane-ascending;
-/// decision coins per informed node in ascending id; loss coins per
-/// exactly-one reception in ascending id), each lane owns a private
-/// RNG, and all coins are drawn in the serial resolution pass — shard
-/// count and shard scheduling never change results.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sweep_lanes_core<P: Protocol + ?Sized>(
-    provider: &dyn GraphProvider,
-    shards: usize,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: Option<&FaultPlan>,
-    master_seed: u64,
-    lanes: usize,
-) -> Vec<RunResult> {
-    assert!(
-        (1..=MAX_LANES).contains(&lanes),
-        "lanes must be in 1..={MAX_LANES}, got {lanes}"
-    );
-    let n = provider.n();
-    assert!(
-        (source as usize) < n,
-        "source {source} out of range for n = {n}"
-    );
-    if let Some(p) = plan {
-        assert_eq!(p.n(), n, "fault plan size mismatch");
+/// Each shard sweeps its row range's forward edges into private planes;
+/// the shards merge at the round barrier, and listeners are then scanned
+/// in ascending order.  No coin is drawn here, so shard count and shard
+/// scheduling never change results.
+pub(crate) struct SweepLanes<'p> {
+    provider: &'p dyn GraphProvider,
+    ranges: Vec<Range<NodeId>>,
+    shards: Vec<LaneShardScratch>,
+    /// Jam sources this round (the session's jammers).
+    jam_src: BitSet,
+}
+
+impl<'p> SweepLanes<'p> {
+    pub(crate) fn new(provider: &'p dyn GraphProvider, shards: usize) -> Self {
+        let n = provider.n();
+        let shards = shards.max(1);
+        SweepLanes {
+            provider,
+            ranges: shard_ranges(n, shards),
+            shards: (0..shards).map(|_| LaneShardScratch::new(n)).collect(),
+            jam_src: BitSet::new(n),
+        }
     }
-    let shards = shards.max(1);
-    let ranges = shard_ranges(n, shards);
-    let full = lane_mask(lanes);
-    let lossy = config.loss_prob > 0.0;
-    let loss = config.loss_prob;
-    let per_round = config.trace_level == TraceLevel::PerRound;
+}
 
-    let mut rngs: Vec<Xoshiro256pp> = (0..lanes as u64)
-        .map(|l| child_rng(master_seed, l))
-        .collect();
-    protocol.begin_run(n);
+impl LaneMerge for SweepLanes<'_> {
+    const KERNEL: KernelUsed = KernelUsed::Sweep;
 
-    let mut session = plan.map(LaneFaultSession::new);
-    let mut lane_events: Vec<Vec<FaultEvent>> = vec![Vec::new(); lanes];
-
-    // Per-lane broadcast state, struct-of-words (same layout as the
-    // batch kernel): informed mask per node, informed round per
-    // (node, lane).
-    let mut informed: Vec<u64> = vec![0; n];
-    informed[source as usize] = full;
-    let mut informed_round: Vec<u32> = vec![NOT_INFORMED; n * lanes];
-    informed_round[source as usize * lanes..source as usize * lanes + lanes].fill(0);
-
-    // Transmit words (bit l = transmits in lane l) and jam sources.
-    // The fill reads both; jam bits are derived per edge there, so no
-    // stored adjacency is ever needed for jammers.
-    let mut t: Vec<u64> = vec![0; n];
-    let mut tx_nodes: Vec<NodeId> = Vec::new();
-    let mut jam_src = BitSet::new(n);
-    let mut jam_live = false;
-    let mut scratches: Vec<LaneShardScratch> =
-        (0..shards).map(|_| LaneShardScratch::new(n)).collect();
-
-    let mut lane_informed = vec![1usize; lanes];
-    let mut lane_rounds = vec![0u32; lanes];
-    let mut lane_completed = vec![n == 1; lanes];
-    let mut lane_last = vec![0u32; lanes];
-    let mut traces: Vec<Vec<RoundRecord>> = vec![Vec::new(); lanes];
-
-    // Per-round, per-lane outcome counters.
-    let mut tx_count = vec![0u32; lanes];
-    let mut newly = vec![0u32; lanes];
-    let mut colls = vec![0u32; lanes];
-    let mut reach = vec![0u32; lanes];
-
-    let mut active = if n == 1 { 0 } else { full };
-    let mut round = 0u32;
-    while active != 0 && round < config.max_rounds {
-        round += 1;
-
-        // Faults fire (and burst channels step) before any decision
-        // coin, exactly like the scalar faulty runners.
-        if let Some(s) = session.as_mut() {
-            let fired = s.begin_round(round, &[active], &mut rngs);
-            if !fired.is_empty() {
-                let mut m = active;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    lane_events[l].extend_from_slice(fired);
-                }
-            }
+    fn merge(
+        &mut self,
+        t: &[u64],
+        _tx_nodes: &[NodeId],
+        jammers: &[NodeId],
+        _canonical: bool,
+        mut listener: impl FnMut(NodeId, u64, u64, bool),
+    ) {
+        for &j in jammers {
+            self.jam_src.set(j as usize);
         }
-
-        // Decision phase, node-major: each lane sees its informed nodes
-        // in ascending id order on its private RNG (the scalar order).
-        for u in 0..n {
-            let mask = informed[u] & active;
-            if mask == 0 {
-                continue;
-            }
-            // Crashed, asleep, and jamming nodes draw no decision coin.
-            if session.as_ref().is_some_and(|s| s.mute(u as NodeId)) {
-                continue;
-            }
-            let base = u * lanes;
-            let word = protocol.transmits_lanes(
-                u as NodeId,
-                round,
-                mask,
-                &informed_round[base..base + lanes],
-                &mut rngs,
-            ) & mask;
-            if word != 0 {
-                t[u] = word;
-                tx_nodes.push(u as NodeId);
-                let mut m = word;
-                while m != 0 {
-                    tx_count[m.trailing_zeros() as usize] += 1;
-                    m &= m - 1;
-                }
-            }
-        }
-
-        // Jammers transmit in every active lane.  Jam-only exactly-one
-        // lanes are demoted to collisions during resolution via the
-        // per-shard jam bits the fill derives from `jam_src`.
-        if let Some(s) = session.as_ref() {
-            if jam_live {
-                jam_src.clear();
-                jam_live = false;
-            }
-            for &j in s.jammers() {
-                debug_assert_eq!(t[j as usize], 0, "jammer drew a decision coin");
-                t[j as usize] = active;
-                tx_nodes.push(j);
-                jam_src.set(j as usize);
-                jam_live = true;
-                let mut m = active;
-                while m != 0 {
-                    tx_count[m.trailing_zeros() as usize] += 1;
-                    m &= m - 1;
-                }
-            }
-        }
-
         // Fill: sweep forward edges, one shard per row range.
-        {
-            let tw = &t;
-            let js = &jam_src;
-            if shards == 1 {
-                fill_lane_shard(provider, ranges[0].clone(), tw, js, &mut scratches[0]);
-            } else {
-                std::thread::scope(|scope| {
-                    for (scratch, range) in scratches.iter_mut().zip(&ranges) {
-                        let range = range.clone();
-                        scope.spawn(move || fill_lane_shard(provider, range, tw, js, scratch));
-                    }
-                });
-            }
+        let (provider, jam_src) = (self.provider, &self.jam_src);
+        if self.shards.len() == 1 {
+            fill_lane_shard(
+                provider,
+                self.ranges[0].clone(),
+                t,
+                jam_src,
+                &mut self.shards[0],
+            );
+        } else {
+            std::thread::scope(|scope| {
+                for (scratch, range) in self.shards.iter_mut().zip(&self.ranges) {
+                    let range = range.clone();
+                    scope.spawn(move || fill_lane_shard(provider, range, t, jam_src, scratch));
+                }
+            });
         }
 
         // Merge shards 1.. into shard 0 at the round barrier: the
         // per-lane saturating combine `ge2' = a2 | b2 | (a1 & b1);
         // ge1' = a1 | b1` is commutative and associative, so the merged
         // planes are independent of the shard count, plus jam-bit union.
-        if shards > 1 {
-            let (first, rest) = scratches.split_at_mut(1);
-            let merged = &mut first[0];
-            for other in rest.iter_mut() {
-                for (m, o) in merged.planes.iter_mut().zip(&other.planes) {
-                    m[1] |= o[1] | (m[0] & o[0]);
-                    m[0] |= o[0];
-                }
-                merged.jam.union_with(&other.jam);
+        let (first, rest) = self.shards.split_at_mut(1);
+        let merged = &mut first[0];
+        for other in rest.iter_mut() {
+            for (m, o) in merged.planes.iter_mut().zip(&other.planes) {
+                m[1] |= o[1] | (m[0] & o[0]);
+                m[0] |= o[0];
             }
+            merged.jam.union_with(&other.jam);
         }
 
-        // Serial resolution in ascending node-id order — all coins are
-        // drawn here (ascending lane within a node), never in the fill,
-        // so shard scheduling cannot influence the streams.
-        {
-            let scr = &scratches[0];
-            for v in 0..n {
-                let [ge1, ge2] = scr.planes[v];
-                if ge1 == 0 {
-                    continue;
-                }
-                // A lane's transmitters (and jammers) cannot receive;
-                // informed lanes have nothing to learn.
-                let reached_w = ge1 & !t[v] & !informed[v];
-                if reached_w == 0 {
-                    continue;
-                }
-                // Blocked (crashed/asleep) nodes receive nothing and
-                // count toward neither reach nor collisions.
-                if session
-                    .as_ref()
-                    .is_some_and(|s| s.blocked_node(v as NodeId))
-                {
-                    continue;
-                }
-                let mut m = reached_w;
-                while m != 0 {
-                    reach[m.trailing_zeros() as usize] += 1;
-                    m &= m - 1;
-                }
-                let mut m = reached_w & ge2;
-                while m != 0 {
-                    colls[m.trailing_zeros() as usize] += 1;
-                    m &= m - 1;
-                }
-                let e1 = reached_w & !ge2;
-                if jam_live && scr.jam.get(v) {
-                    // The jammer transmits in every active lane, so each
-                    // exactly-one lane here is a jam-only hit: a
-                    // collision, never a delivery, and (like the scalar
-                    // engines) no burst/loss coin is drawn for it.
-                    let mut m = e1;
-                    while m != 0 {
-                        colls[m.trailing_zeros() as usize] += 1;
-                        m &= m - 1;
-                    }
-                    continue;
-                }
-                let mut delivered = e1;
-                if let Some(s) = session.as_ref() {
-                    // Burst veto consumes no coin (channel state was
-                    // drawn in begin_round), matching the scalar `&&`
-                    // short circuit: lost-to-burst lanes skip the loss
-                    // coin too.
-                    delivered &= !s.burst_word(v as NodeId);
-                }
-                if lossy {
-                    // Same coin as the scalar engines' delivery veto, in
-                    // ascending lane order within the ascending node
-                    // sweep.
-                    let mut m = delivered;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        if rngs[l].coin(loss) {
-                            delivered &= !(1u64 << l);
-                        }
-                    }
-                }
-                if delivered != 0 {
-                    informed[v] |= delivered;
-                    let base = v * lanes;
-                    let mut m = delivered;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        informed_round[base + l] = round;
-                        lane_informed[l] += 1;
-                        newly[l] += 1;
-                    }
-                }
+        // Listeners in ascending node order.
+        for (v, &[ge1, ge2]) in merged.planes.iter().enumerate() {
+            if ge1 != 0 {
+                listener(v as NodeId, ge1, ge2, merged.jam.get(v));
             }
         }
-
-        // Book-keeping per still-active lane: trace record, completion.
-        let mut still = active;
-        while still != 0 {
-            let l = still.trailing_zeros() as usize;
-            still &= still - 1;
-            if per_round {
-                traces[l].push(RoundRecord {
-                    round,
-                    transmitters: tx_count[l] as usize,
-                    newly_informed: newly[l] as usize,
-                    collisions: colls[l] as usize,
-                    reached: reach[l] as usize,
-                    informed_after: lane_informed[l],
-                });
-            }
-            if newly[l] > 0 {
-                lane_last[l] = round;
-            }
-            if lane_informed[l] == n {
-                lane_completed[l] = true;
-                lane_rounds[l] = round;
-                active &= !(1u64 << l);
-            }
-        }
-
-        for &u in &tx_nodes {
-            t[u as usize] = 0;
-        }
-        tx_nodes.clear();
-        tx_count.fill(0);
-        newly.fill(0);
-        colls.fill(0);
-        reach.fill(0);
-        for scratch in &mut scratches {
+        for scratch in &mut self.shards {
             scratch.reset();
         }
-    }
-
-    // Budget-exhausted lanes report the exhausted budget, like the
-    // scalar runner.
-    let mut still = active;
-    while still != 0 {
-        let l = still.trailing_zeros() as usize;
-        still &= still - 1;
-        lane_rounds[l] = round;
-    }
-
-    // Per-lane graceful-degradation summaries.  Purely implicit
-    // backends materialize **once** for the whole batch (fault runs
-    // only — fault-free lane sweeps never materialize); lanes finishing
-    // in the same round share a LiveView.
-    let mut lane_faults: Vec<Option<crate::fault::FaultSummary>> = vec![None; lanes];
-    if let Some(p) = plan {
-        let materialized;
-        let graph = match provider.as_explicit() {
-            Some(g) => g,
-            None => {
-                materialized = provider.materialize();
-                &materialized
-            }
-        };
-        let mut views: Vec<(u32, LiveView)> = Vec::new();
-        for (l, &horizon) in lane_rounds.iter().enumerate().take(lanes) {
-            let at = views
-                .iter()
-                .position(|(h, _)| *h == horizon)
-                .unwrap_or_else(|| {
-                    views.push((horizon, p.live_view(graph, horizon, source)));
-                    views.len() - 1
-                });
-            lane_faults[l] = Some(views[at].1.summary(|v| informed[v as usize] >> l & 1 == 1));
+        for &j in jammers {
+            self.jam_src.unset(j as usize);
         }
     }
-
-    traces
-        .into_iter()
-        .enumerate()
-        .map(|(l, trace)| RunResult {
-            completed: lane_completed[l],
-            rounds: lane_rounds[l],
-            informed: lane_informed[l],
-            n,
-            kernel: KernelUsed::Sweep,
-            threads: 1,
-            last_delivery_round: lane_last[l],
-            fault_events: std::mem::take(&mut lane_events[l]),
-            faults: lane_faults[l].take(),
-            trace,
-        })
-        .collect()
 }
 
 /// Convenience: an [`ImplicitGnp`] provider for one run, seeded like the
@@ -1012,12 +572,44 @@ pub fn implicit_gnp(n: usize, p: f64, seed: u64) -> ImplicitGnp {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::exec::RunSpec;
     use crate::fault::FaultPlan;
-    use crate::protocol::{run_protocol, run_protocol_faulty};
-    use radio_graph::Graph;
+    use crate::protocol::{LocalNode, Protocol, RunConfig};
+    use crate::trace::RunResult;
+    use crate::MAX_LANES;
+    use radio_graph::{child_rng, Graph};
+
+    /// A scalar run on `provider` in `shards` shards (one shard over
+    /// explicit adjacency plans the round engine).
+    fn run(
+        provider: &dyn GraphProvider,
+        shards: usize,
+        source: NodeId,
+        protocol: &mut impl Protocol,
+        cfg: RunConfig,
+        plan: Option<&FaultPlan>,
+        rng: &mut Xoshiro256pp,
+    ) -> RunResult {
+        spec(provider, shards, source, cfg, plan)
+            .run_with_rng(protocol, rng)
+            .into_single()
+    }
+
+    fn spec<'a>(
+        provider: &'a dyn GraphProvider,
+        shards: usize,
+        source: NodeId,
+        cfg: RunConfig,
+        plan: Option<&'a FaultPlan>,
+    ) -> RunSpec<'a> {
+        let spec = RunSpec::on_provider(provider, shards, source).with_config(cfg);
+        match plan {
+            Some(plan) => spec.with_faults(plan),
+            None => spec,
+        }
+    }
 
     struct AlwaysTransmit;
     impl Protocol for AlwaysTransmit {
@@ -1106,9 +698,12 @@ mod tests {
         let g = ImplicitGnp::new(300, 0.03, 5).materialize();
         let cfg = RunConfig::for_graph(300);
         let mut rng_a = Xoshiro256pp::new(77);
-        let a = run_protocol(&g, 0, &mut HalfCoin, cfg, &mut rng_a);
+        let a = RunSpec::on_graph(&g, 0)
+            .with_config(cfg)
+            .run_with_rng(&mut HalfCoin, &mut rng_a)
+            .into_single();
         let mut rng_b = Xoshiro256pp::new(77);
-        let b = run_protocol_provider(&g, 1, 0, &mut HalfCoin, cfg, &mut rng_b);
+        let b = run(&g, 1, 0, &mut HalfCoin, cfg, None, &mut rng_b);
         assert_eq!(a, b, "shards=1 on explicit must take the engine fast path");
         assert_eq!(rng_a.next(), rng_b.next());
     }
@@ -1118,10 +713,10 @@ mod tests {
         let g = ImplicitGnp::new(400, 0.025, 9).materialize();
         let cfg = RunConfig::for_graph(400);
         let mut rng_a = Xoshiro256pp::new(3);
-        let mut a = run_protocol(&g, 2, &mut HalfCoin, cfg, &mut rng_a);
+        let mut a = run(&g, 1, 2, &mut HalfCoin, cfg, None, &mut rng_a);
         for shards in [2, 4, 7] {
             let mut rng_b = Xoshiro256pp::new(3);
-            let b = run_protocol_provider(&g, shards, 2, &mut HalfCoin, cfg, &mut rng_b);
+            let b = run(&g, shards, 2, &mut HalfCoin, cfg, None, &mut rng_b);
             assert_eq!(b.kernel, KernelUsed::Sweep);
             a.kernel = KernelUsed::Sweep;
             assert_eq!(a, b, "shards = {shards}");
@@ -1135,9 +730,9 @@ mod tests {
         let g = imp.materialize();
         let cfg = RunConfig::for_graph(350).with_loss(0.2);
         let mut rng_a = Xoshiro256pp::new(41);
-        let mut a = run_protocol(&g, 0, &mut HalfCoin, cfg, &mut rng_a);
+        let mut a = run(&g, 1, 0, &mut HalfCoin, cfg, None, &mut rng_a);
         let mut rng_b = Xoshiro256pp::new(41);
-        let b = run_protocol_provider(&imp, 1, 0, &mut HalfCoin, cfg, &mut rng_b);
+        let b = run(&imp, 1, 0, &mut HalfCoin, cfg, None, &mut rng_b);
         a.kernel = KernelUsed::Sweep;
         assert_eq!(a, b);
         assert_eq!(rng_a.next(), rng_b.next());
@@ -1154,18 +749,10 @@ mod tests {
             .set_burst(0.3, 0.25);
         let cfg = RunConfig::for_graph(256).with_loss(0.1);
         let mut rng_a = Xoshiro256pp::new(19);
-        let mut a = run_protocol_faulty(&g, 1, &mut HalfCoin, cfg, &plan, &mut rng_a);
+        let mut a = run(&g, 1, 1, &mut HalfCoin, cfg, Some(&plan), &mut rng_a);
         for shards in [1, 4] {
             let mut rng_b = Xoshiro256pp::new(19);
-            let b = run_protocol_provider_faulty(
-                &imp,
-                shards,
-                1,
-                &mut HalfCoin,
-                cfg,
-                &plan,
-                &mut rng_b,
-            );
+            let b = run(&imp, shards, 1, &mut HalfCoin, cfg, Some(&plan), &mut rng_b);
             a.kernel = KernelUsed::Sweep;
             assert_eq!(a, b, "shards = {shards}");
             assert_eq!(rng_a.clone().next(), rng_b.next());
@@ -1176,14 +763,9 @@ mod tests {
     fn flooding_on_path_provider() {
         let g = Graph::path(10);
         let mut rng = Xoshiro256pp::new(1);
-        let r = run_protocol_provider(
-            &g,
-            3, // force the sweep path on an explicit graph
-            0,
-            &mut AlwaysTransmit,
-            RunConfig::for_graph(10),
-            &mut rng,
-        );
+        // Three shards force the sweep path on an explicit graph.
+        let cfg = RunConfig::for_graph(10);
+        let r = run(&g, 3, 0, &mut AlwaysTransmit, cfg, None, &mut rng);
         assert!(r.completed);
         assert_eq!(r.rounds, 9);
         assert_eq!(r.kernel, KernelUsed::Sweep);
@@ -1202,12 +784,15 @@ mod tests {
                 .with_loss(loss);
             let master = 1000 + case as u64;
             for shards in [1usize, 3] {
-                let batch =
-                    run_sweep_lanes_core(&imp, shards, 0, &mut HalfCoin, cfg, None, master, lanes);
+                let batch = spec(&imp, shards, 0, cfg, None)
+                    .with_lanes(lanes)
+                    .with_master_seed(master)
+                    .run(&mut HalfCoin)
+                    .lanes;
                 assert_eq!(batch.len(), lanes);
                 for (l, got) in batch.iter().enumerate() {
                     let mut rng = child_rng(master, l as u64);
-                    let mut want = run_protocol(&g, 0, &mut HalfCoin, cfg, &mut rng);
+                    let mut want = run(&g, 1, 0, &mut HalfCoin, cfg, None, &mut rng);
                     want.kernel = KernelUsed::Sweep;
                     assert_eq!(*got, want, "case {case}, shards {shards}, lane {l}");
                 }
@@ -1230,19 +815,14 @@ mod tests {
                 .with_loss(loss);
             let master = 7000 + case;
             for shards in [1usize, 4] {
-                let batch = run_sweep_lanes_core(
-                    &imp,
-                    shards,
-                    1,
-                    &mut HalfCoin,
-                    cfg,
-                    Some(&plan),
-                    master,
-                    MAX_LANES,
-                );
+                let batch = spec(&imp, shards, 1, cfg, Some(&plan))
+                    .with_lanes(MAX_LANES)
+                    .with_master_seed(master)
+                    .run(&mut HalfCoin)
+                    .lanes;
                 for (l, got) in batch.iter().enumerate() {
                     let mut rng = child_rng(master, l as u64);
-                    let mut want = run_protocol_faulty(&g, 1, &mut HalfCoin, cfg, &plan, &mut rng);
+                    let mut want = run(&g, 1, 1, &mut HalfCoin, cfg, Some(&plan), &mut rng);
                     want.kernel = KernelUsed::Sweep;
                     assert_eq!(*got, want, "case {case}, shards {shards}, lane {l}");
                 }

@@ -11,12 +11,11 @@
 //!
 //! ## Determinism contract
 //!
-//! Lane `l` of [`run_protocol_tiled`] with master seed `s` is
-//! **bit-identical** to a scalar [`run_protocol`](crate::run_protocol)
-//! on the RNG stream `child_rng(s, l)` — the same contract as the batch
-//! runner, extended past 64 lanes — *and* the result is identical for
-//! every thread count (`RADIO_THREADS=1`, 3, 8, …).  Both properties
-//! hold by construction:
+//! Lane `l` of a tiled plan with master seed `s` is **bit-identical** to
+//! the scalar run on the RNG stream `child_rng(s, l)` — the same contract
+//! as the batch engine, extended past 64 lanes — *and* the result is
+//! identical for every thread count (`RADIO_THREADS=1`, 3, 8, …).  Both
+//! properties hold by construction:
 //!
 //! * each round is split into a parallel **merge phase** that only
 //!   *stores* per-row reachability words (order-independent: row blocks
@@ -29,25 +28,29 @@
 //! The contract is pinned by the `kernel_differential` suite, which
 //! replays plain, lossy, and faulted runs at several thread counts.
 //!
-//! Like the batch runner, the tiled runner implies
+//! Like the batch engine, the tiled engine implies
 //! [`TransmitterPolicy::InformedOnly`](crate::TransmitterPolicy::InformedOnly).
-//! [`RunConfig::kernel`] participates in dispatch only: unless the
-//! caller forces [`EngineKernel::Tiled`](crate::EngineKernel::Tiled), small jobs (≤ 64 lanes and
-//! below the [`crate::kernel::tiled_is_cheaper`] break-even) fall back
-//! to the batch runner, whose results are bit-identical anyway.
+//! It keeps its own multi-word loop rather than the shared single-word
+//! lane loop of the crate-private `driver` module, whose per-lane
+//! bookkeeping it shares.
+//! The planner routes small jobs (≤ 64 lanes, below the
+//! [`crate::kernel::tiled_is_cheaper`] break-even) to the batch engine
+//! unless the caller forces [`EngineKernel::Tiled`](crate::EngineKernel::Tiled).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use radio_graph::{child_rng, AlignedWords, Graph, NodeId, TileLayout, Xoshiro256pp};
+use radio_graph::{child_rng, AlignedWords, NodeId, TileLayout, Xoshiro256pp};
 
+use crate::batch::bits;
 use crate::bitset::BitSet;
+use crate::driver::{lane_summaries, loss_coins, LaneBook};
 use crate::exec::RunSpec;
-use crate::fault::{FaultEvent, FaultPlan, LaneFaultSession, LiveView};
+use crate::fault::LaneFaultSession;
 use crate::kernel::KernelUsed;
-use crate::protocol::{Protocol, RunConfig};
+use crate::protocol::Protocol;
 use crate::runner::thread_budget;
 use crate::state::NOT_INFORMED;
-use crate::trace::{RoundRecord, RunResult, TraceLevel};
+use crate::trace::RunResult;
 use crate::wide::{sweep_rows, TiledTable};
 
 /// Maximum number of trial lanes in one tiled run (16 × 64-bit words
@@ -70,117 +73,14 @@ impl<T> Clone for SendPtr<T> {
 }
 impl<T> Copy for SendPtr<T> {}
 
-/// Runs `lanes` independent trials of `protocol` on `graph` from
-/// `source` with the tiled kernel, one trial per bit lane, and returns
-/// one [`RunResult`] per lane (index = lane = RNG stream index).
-///
-/// Lane `l` uses the RNG stream `child_rng(master_seed, l)` and is
-/// bit-identical to a scalar [`run_protocol`](crate::run_protocol) on
-/// that stream; see the module docs for the full contract.  The
-/// intra-round worker count follows [`thread_budget`] (the
-/// `RADIO_THREADS` environment variable caps it) and **never** affects
-/// results — only the `threads` field of the [`RunResult`]s.
-///
-/// Unless `config.kernel` is [`EngineKernel::Tiled`](crate::EngineKernel::Tiled), jobs of at most
-/// 64 lanes below the tiled break-even run on the batch kernel instead
-/// (identical results, reported as [`KernelUsed::Batch`]).
-///
-/// # Panics
-///
-/// If `lanes` is not in `1..=`[`MAX_TILED_LANES`] or `source` is out
-/// of range.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_lanes(..)"
-)]
-pub fn run_protocol_tiled<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    master_seed: u64,
-    lanes: usize,
-) -> Vec<RunResult> {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_lanes(lanes)
-        .with_master_seed(master_seed)
-        .run(protocol)
-        .lanes
-}
-
-/// Like [`run_protocol_tiled`], but every lane runs under the fault
-/// plan `plan`.  Lane `l` is bit-identical to a scalar
-/// [`run_protocol_faulty`](crate::run_protocol_faulty) on
-/// `child_rng(master_seed, l)` — same trace, same fault events, same
-/// [`crate::FaultSummary`], same residual RNG stream.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_lanes(..).with_faults(..)"
-)]
-pub fn run_protocol_tiled_faulty<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: &FaultPlan,
-    master_seed: u64,
-    lanes: usize,
-) -> Vec<RunResult> {
-    RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_lanes(lanes)
-        .with_master_seed(master_seed)
-        .with_faults(plan)
-        .run(protocol)
-        .lanes
-}
-
-/// [`run_protocol_tiled`] / [`run_protocol_tiled_faulty`] with an
-/// explicit intra-round worker count, bypassing [`thread_budget`].
-///
-/// Meant for differential tests that pin several thread counts within
-/// one process (the `RADIO_THREADS` variable is process-global, so it
-/// cannot vary per call).  `threads` is clamped to the number of row
-/// blocks; results are identical for every value.
-#[deprecated(
-    since = "0.1.0",
-    note = "use radio_sim::exec::RunSpec::on_graph(..).with_lanes(..).with_threads(..)"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_protocol_tiled_with_threads<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
-    protocol: &mut P,
-    config: RunConfig,
-    plan: Option<&FaultPlan>,
-    master_seed: u64,
-    lanes: usize,
-    threads: usize,
-) -> Vec<RunResult> {
-    let mut spec = RunSpec::on_graph(graph, source)
-        .with_config(config)
-        .with_lanes(lanes)
-        .with_master_seed(master_seed)
-        .with_threads(threads);
-    if let Some(p) = plan {
-        spec = spec.with_faults(p);
-    }
-    spec.run(protocol).lanes
-}
-
 /// Tiled execution core: the body behind every
 /// [`PlannedEngine::Tiled`](crate::exec::PlannedEngine::Tiled) plan.
-/// (The batch-vs-tiled cost-model dispatch lives in the planner,
-/// [`RunSpec::plan`].)
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
-    graph: &Graph,
-    source: NodeId,
+/// Lane `l` runs on `child_rng(master_seed, l)`, and the intra-round
+/// worker count (`threads`, else [`thread_budget`]) never affects results
+/// — only the `threads` field of the [`RunResult`]s.
+pub(crate) fn run_tiled<P: Protocol + ?Sized>(
+    spec: &RunSpec<'_>,
     protocol: &mut P,
-    config: RunConfig,
-    plan: Option<&FaultPlan>,
-    master_seed: u64,
     lanes: usize,
     threads: Option<usize>,
 ) -> Vec<RunResult> {
@@ -188,6 +88,10 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
         (1..=MAX_TILED_LANES).contains(&lanes),
         "lanes must be in 1..={MAX_TILED_LANES}, got {lanes}"
     );
+    let graph = spec.explicit_graph();
+    let source = spec.single_source();
+    let config = spec.config;
+    let plan = spec.fault_plan;
     let n = graph.n();
     assert!(
         (source as usize) < n,
@@ -207,19 +111,15 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
         .unwrap_or_else(|| thread_budget(blocks))
         .clamp(1, blocks.max(1));
 
-    let lossy = config.loss_prob > 0.0;
     let loss = config.loss_prob;
-    let per_round = config.trace_level == TraceLevel::PerRound;
 
     let mut rngs: Vec<Xoshiro256pp> = (0..lanes as u64)
-        .map(|l| child_rng(master_seed, l))
+        .map(|l| child_rng(spec.master_seed, l))
         .collect();
     protocol.begin_run(n);
 
     let mut session = plan.map(|p| LaneFaultSession::new_grouped(p, groups));
     let mut jam_touch = plan.map(|_| BitSet::new(n));
-    let mut jam_dirty = false;
-    let mut lane_events: Vec<Vec<FaultEvent>> = vec![Vec::new(); lanes];
 
     // Per-lane broadcast state: informed plane (c words per node,
     // 64-byte aligned for the vector sweep), informed round per
@@ -251,20 +151,7 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
 
     let max_deg = (0..n).map(|v| graph.degree(v as NodeId)).max().unwrap_or(0);
     let mut scratches: Vec<Vec<u32>> = (0..workers).map(|_| vec![0u32; max_deg + 16]).collect();
-
-    let mut lane_informed = vec![1usize; lanes];
-    let mut lane_rounds = vec![0u32; lanes];
-    let mut lane_completed = vec![n == 1; lanes];
-    let mut lane_last = vec![0u32; lanes];
-    let mut traces: Vec<Vec<RoundRecord>> = vec![Vec::new(); lanes];
-
-    // Per-round, per-lane outcome counters.  Only `newly` feeds fields
-    // recorded at every trace level (completion, last delivery); the
-    // rest exist for RoundRecords and are skipped in summary-only runs.
-    let mut tx_count = vec![0u32; lanes];
-    let mut newly = vec![0u32; lanes];
-    let mut colls = vec![0u32; lanes];
-    let mut reach = vec![0u32; lanes];
+    let mut book = LaneBook::new(n, lanes, config.trace_level);
 
     let mut active: Vec<u64> = (0..groups)
         .map(|g| if n == 1 { 0 } else { layout.group_mask(g) })
@@ -274,18 +161,11 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
         round += 1;
 
         // Faults fire (and burst channels step) before any decision
-        // coin, exactly like the scalar faulty runner.
+        // coin, exactly like the scalar loop.
         if let Some(s) = session.as_mut() {
             let fired = s.begin_round(round, &active, &mut rngs);
-            if !fired.is_empty() {
-                for (g, &word) in active.iter().enumerate() {
-                    let mut m = word;
-                    while m != 0 {
-                        let l = g * 64 + m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        lane_events[l].extend_from_slice(fired);
-                    }
-                }
+            for (g, &word) in active.iter().enumerate() {
+                book.fault_events(g * 64, word, fired);
             }
         }
 
@@ -320,13 +200,7 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
                 ) & mask;
                 chunk[g] = word;
                 any |= word;
-                if per_round {
-                    let mut m = word;
-                    while m != 0 {
-                        tx_count[lo + m.trailing_zeros() as usize] += 1;
-                        m &= m - 1;
-                    }
-                }
+                book.transmit(lo, word);
             }
             if any != 0 {
                 ntx += 1;
@@ -337,39 +211,25 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
             }
         }
 
-        // Inject jammers into every active lane, exactly like the batch
-        // runner: the saturating counter resolves jam collisions, and
-        // jam-only exactly-one lanes are demoted via `jam_touch`.
-        if let Some(s) = session.as_ref() {
-            if jam_dirty {
-                jam_touch
-                    .as_mut()
-                    .expect("jam_touch exists with plan")
-                    .clear();
-                jam_dirty = false;
+        // Inject jammers into every active lane, exactly like the
+        // single-word lane loop: the saturating counter resolves jam
+        // collisions, and jam-only exactly-one lanes are demoted via
+        // `jam_touch`.
+        let jammers = session.as_ref().map_or(&[][..], |s| s.jammers());
+        for &j in jammers {
+            debug_assert_eq!(remap[j as usize], 0, "jammer drew a decision coin");
+            ntx += 1;
+            remap[j as usize] = ntx;
+            let slot = ntx as usize * c;
+            tc[slot..slot + groups].copy_from_slice(&active);
+            tc[slot + groups..slot + c].fill(0);
+            tx_nodes.push(j);
+            for (g, &word) in active.iter().enumerate() {
+                book.transmit(g * 64, word);
             }
-            let touch = jam_touch.as_mut().expect("jam_touch exists with plan");
-            for &j in s.jammers() {
-                debug_assert_eq!(remap[j as usize], 0, "jammer drew a decision coin");
-                ntx += 1;
-                remap[j as usize] = ntx;
-                let slot = ntx as usize * c;
-                tc[slot..slot + groups].copy_from_slice(&active);
-                tc[slot + groups..slot + c].fill(0);
-                tx_nodes.push(j);
-                if per_round {
-                    for (g, &word) in active.iter().enumerate() {
-                        let mut m = word;
-                        while m != 0 {
-                            tx_count[g * 64 + m.trailing_zeros() as usize] += 1;
-                            m &= m - 1;
-                        }
-                    }
-                }
-                for &v in graph.neighbors(j) {
-                    touch.set(v as usize);
-                }
-                jam_dirty = true;
+            let touch = jam_touch.as_mut().expect("jammers imply a fault plan");
+            for &v in graph.neighbors(j) {
+                touch.set(v as usize);
             }
         }
 
@@ -400,14 +260,8 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
         // Resolution phase (serial): ascending node order, ascending
         // word then lane within a node — the scalar coin order.
         for (bw_i, rb) in rbits.iter_mut().enumerate() {
-            let mut rows = *rb;
-            if rows == 0 {
-                continue;
-            }
-            *rb = 0;
-            while rows != 0 {
-                let v = bw_i * 64 + rows.trailing_zeros() as usize;
-                rows &= rows - 1;
+            for b in bits(std::mem::take(rb)) {
+                let v = bw_i * 64 + b;
                 let base = v * c;
                 // Blocked (crashed/asleep) nodes receive nothing and
                 // count toward neither reach nor collisions.
@@ -419,7 +273,7 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
                     e1plane[base..base + c].fill(0);
                     continue;
                 }
-                let jammed = jam_dirty && jam_touch.as_ref().is_some_and(|touch| touch.get(v));
+                let jammed = !jammers.is_empty() && jam_touch.as_ref().is_some_and(|t| t.get(v));
                 let mut now_full = true;
                 for w in 0..c {
                     let reached = rplane[base + w];
@@ -428,66 +282,26 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
                         continue;
                     }
                     rplane[base + w] = 0;
-                    let e1 = e1plane[base + w];
-                    e1plane[base + w] = 0;
-                    if per_round {
-                        let mut m = reached;
-                        while m != 0 {
-                            reach[w * 64 + m.trailing_zeros() as usize] += 1;
-                            m &= m - 1;
-                        }
-                        let mut m = reached & !e1;
-                        while m != 0 {
-                            colls[w * 64 + m.trailing_zeros() as usize] += 1;
-                            m &= m - 1;
-                        }
-                    }
-                    let mut delivered;
-                    if jammed {
-                        // Jam-only exactly-one lanes are collisions,
-                        // and (like the scalar engine) no burst/loss
-                        // coin is drawn for them.
-                        if per_round {
-                            let mut m = e1;
-                            while m != 0 {
-                                colls[w * 64 + m.trailing_zeros() as usize] += 1;
-                                m &= m - 1;
-                            }
-                        }
-                        delivered = 0;
-                    } else {
-                        delivered = e1;
-                        if let Some(s) = session.as_ref() {
-                            // Burst veto consumes no coin; lost-to-burst
-                            // lanes skip the loss coin too.
-                            if w < groups {
-                                delivered &= !s.burst_words(v as NodeId)[w];
-                            }
-                        }
-                        if lossy {
-                            let mut m = delivered;
-                            while m != 0 {
-                                let bit = m.trailing_zeros() as usize;
-                                m &= m - 1;
-                                if rngs[w * 64 + bit].coin(loss) {
-                                    delivered &= !(1u64 << bit);
-                                }
-                            }
-                        }
+                    // Jam-only exactly-one lanes are collisions, and (like
+                    // the scalar engine) no burst/loss coin is drawn for
+                    // them.
+                    let e1 = std::mem::take(&mut e1plane[base + w]);
+                    let e1 = if jammed { 0 } else { e1 };
+                    book.reach(w * 64, reached, reached & !e1);
+                    // Burst veto consumes no coin; lost-to-burst lanes
+                    // skip the loss coin too.
+                    let burst = match session.as_ref() {
+                        Some(s) if w < groups => s.burst_words(v as NodeId)[w],
+                        _ => 0,
+                    };
+                    let mut delivered = e1 & !burst;
+                    if loss > 0.0 {
+                        delivered = loss_coins(delivered, &mut rngs[w * 64..], loss);
                     }
                     let niv = informed[base + w] | delivered;
                     if delivered != 0 {
                         informed[base + w] = niv;
-                        let rbase = v * lanes;
-                        let mut m = delivered;
-                        while m != 0 {
-                            let bit = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            let l = w * 64 + bit;
-                            informed_round[rbase + l] = round;
-                            lane_informed[l] += 1;
-                            newly[l] += 1;
-                        }
+                        book.deliver(w * 64, delivered, round, &mut informed_round[v * lanes..]);
                     }
                     now_full &= niv == full_pattern[w];
                 }
@@ -497,96 +311,31 @@ pub(crate) fn run_tiled_core<P: Protocol + ?Sized>(
             }
         }
 
-        // Book-keeping per still-active lane: trace record, completion.
-        // An index loop: completed lanes clear their `active[g]` bit
-        // mid-iteration, so an iterator would hold a conflicting borrow.
-        #[allow(clippy::needless_range_loop)]
-        for g in 0..groups {
-            let mut still = active[g];
-            while still != 0 {
-                let bit = still.trailing_zeros() as usize;
-                still &= still - 1;
-                let l = g * 64 + bit;
-                if per_round {
-                    traces[l].push(RoundRecord {
-                        round,
-                        transmitters: tx_count[l] as usize,
-                        newly_informed: newly[l] as usize,
-                        collisions: colls[l] as usize,
-                        reached: reach[l] as usize,
-                        informed_after: lane_informed[l],
-                    });
-                }
-                if newly[l] > 0 {
-                    lane_last[l] = round;
-                }
-                if lane_informed[l] == n {
-                    lane_completed[l] = true;
-                    lane_rounds[l] = round;
-                    active[g] &= !(1u64 << bit);
+        if let Some(touch) = jam_touch.as_mut().filter(|_| !jammers.is_empty()) {
+            touch.clear();
+        }
+        for (g, word) in active.iter_mut().enumerate() {
+            for b in bits(*word) {
+                if book.close(g * 64 + b, round) {
+                    *word &= !(1u64 << b);
                 }
             }
         }
-
         for &u in &tx_nodes {
             remap[u as usize] = 0;
         }
         tx_nodes.clear();
         ntx = 0;
-        newly.fill(0);
-        if per_round {
-            tx_count.fill(0);
-            colls.fill(0);
-            reach.fill(0);
-        }
+        book.next_round();
     }
 
-    // Budget-exhausted lanes report the exhausted budget, like the
-    // scalar runner.
-    for (g, &word) in active.iter().enumerate() {
-        let mut still = word;
-        while still != 0 {
-            let bit = still.trailing_zeros() as usize;
-            still &= still - 1;
-            lane_rounds[g * 64 + bit] = round;
-        }
-    }
-
-    // Per-lane graceful-degradation summaries; lanes finishing in the
-    // same round share a LiveView.
-    let mut views: Vec<(u32, LiveView)> = Vec::new();
-    let mut lane_faults = Vec::with_capacity(lanes);
-    for (l, &horizon) in lane_rounds.iter().enumerate().take(lanes) {
-        lane_faults.push(plan.map(|p| {
-            let at = views
-                .iter()
-                .position(|(h, _)| *h == horizon)
-                .unwrap_or_else(|| {
-                    views.push((horizon, p.live_view(graph, horizon, source)));
-                    views.len() - 1
-                });
-            views[at]
-                .1
-                .summary(|v| informed[v as usize * c + (l >> 6)] >> (l & 63) & 1 == 1)
-        }));
-    }
-
-    traces
-        .into_iter()
-        .enumerate()
-        .map(|(l, trace)| RunResult {
-            completed: lane_completed[l],
-            rounds: lane_rounds[l],
-            informed: lane_informed[l],
-            n,
-            kernel: KernelUsed::Tiled,
-            threads: workers as u32,
-            last_delivery_round: lane_last[l],
-            fault_events: std::mem::take(&mut lane_events[l]),
-            faults: lane_faults[l],
-            trace,
+    book.finish(round, KernelUsed::Tiled, workers as u32, |horizons| {
+        plan.map(|p| {
+            lane_summaries(p, graph, source, horizons, |l, v| {
+                informed[v as usize * c + (l >> 6)] >> (l & 63) & 1 == 1
+            })
         })
-        .collect()
+    })
 }
 
 /// The parallel merge phase of one round: sweeps every row block,
@@ -713,14 +462,13 @@ fn sweep_block(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::batch::run_protocol_batch;
+    use crate::fault::FaultPlan;
     use crate::kernel::EngineKernel;
-    use crate::protocol::{run_protocol, run_protocol_faulty, LocalNode};
-    use radio_graph::derive_seed;
+    use crate::protocol::{LocalNode, RunConfig};
     use radio_graph::gnp::sample_gnp;
+    use radio_graph::{derive_seed, Graph};
 
     /// Transmit with a fixed probability (one coin per decision).
     struct Coin(f64);
@@ -731,6 +479,47 @@ mod tests {
         fn transmits(&mut self, _node: LocalNode, rng: &mut Xoshiro256pp) -> bool {
             rng.coin(self.0)
         }
+    }
+
+    fn spec<'a>(g: &'a Graph, cfg: RunConfig, plan: Option<&'a FaultPlan>) -> RunSpec<'a> {
+        let spec = RunSpec::on_graph(g, 0).with_config(cfg);
+        match plan {
+            Some(plan) => spec.with_faults(plan),
+            None => spec,
+        }
+    }
+
+    /// `lanes` lanes of `Coin(p)` from node 0 on `threads` workers.
+    #[allow(clippy::too_many_arguments)]
+    fn lanes_on_threads(
+        g: &Graph,
+        p: f64,
+        cfg: RunConfig,
+        plan: Option<&FaultPlan>,
+        master: u64,
+        lanes: usize,
+        threads: usize,
+    ) -> Vec<RunResult> {
+        spec(g, cfg, plan)
+            .with_lanes(lanes)
+            .with_master_seed(master)
+            .with_threads(threads)
+            .run(&mut Coin(p))
+            .lanes
+    }
+
+    /// The scalar run of lane `l`.
+    fn scalar_lane(
+        g: &Graph,
+        cfg: RunConfig,
+        plan: Option<&FaultPlan>,
+        master: u64,
+        l: usize,
+    ) -> RunResult {
+        let mut rng = child_rng(master, l as u64);
+        spec(g, cfg, plan)
+            .run_with_rng(&mut Coin(0.3), &mut rng)
+            .into_single()
     }
 
     /// Forces the tiled kernel so small test graphs skip the batch
@@ -756,12 +545,10 @@ mod tests {
             let loss = if case % 2 == 0 { 0.0 } else { 0.25 };
             let cfg = tiled_cfg(n).with_loss(loss);
             let master = derive_seed(0x5EED, case);
-            let tiled =
-                run_protocol_tiled_with_threads(&g, 0, &mut Coin(0.3), cfg, None, master, lanes, 2);
+            let tiled = lanes_on_threads(&g, 0.3, cfg, None, master, lanes, 2);
             assert_eq!(tiled.len(), lanes);
             for (l, got) in tiled.iter().enumerate() {
-                let mut rng = child_rng(master, l as u64);
-                let want = run_protocol(&g, 0, &mut Coin(0.3), cfg, &mut rng);
+                let want = scalar_lane(&g, cfg, None, master, l);
                 assert_eq!(
                     normalize(got.clone()),
                     normalize(want),
@@ -786,20 +573,10 @@ mod tests {
             let cfg = tiled_cfg(n).with_loss(loss);
             let master = derive_seed(0x5EED, case as u64);
             let lanes = 70;
-            let tiled = run_protocol_tiled_with_threads(
-                &g,
-                0,
-                &mut Coin(0.3),
-                cfg,
-                Some(&combined),
-                master,
-                lanes,
-                3,
-            );
+            let tiled = lanes_on_threads(&g, 0.3, cfg, Some(&combined), master, lanes, 3);
             assert_eq!(tiled.len(), lanes);
             for (l, got) in tiled.iter().enumerate() {
-                let mut rng = child_rng(master, l as u64);
-                let want = run_protocol_faulty(&g, 0, &mut Coin(0.3), cfg, &combined, &mut rng);
+                let want = scalar_lane(&g, cfg, Some(&combined), master, l);
                 assert_eq!(
                     normalize(got.clone()),
                     normalize(want),
@@ -819,7 +596,7 @@ mod tests {
         let runs: Vec<Vec<RunResult>> = [1usize, 3, 8]
             .iter()
             .map(|&t| {
-                run_protocol_tiled_with_threads(&g, 0, &mut Coin(0.25), cfg, None, 42, lanes, t)
+                lanes_on_threads(&g, 0.25, cfg, None, 42, lanes, t)
                     .into_iter()
                     .map(normalize)
                     .collect()
@@ -834,17 +611,18 @@ mod tests {
         let mut grng = Xoshiro256pp::new(5);
         let g = sample_gnp(60, 0.15, &mut grng);
         let auto = RunConfig::for_graph(60).with_max_rounds(40);
-        let fall = run_protocol_tiled(&g, 0, &mut Coin(0.3), auto, 9, 8);
+        let fall = spec(&g, auto, None)
+            .with_lanes(8)
+            .with_master_seed(9)
+            .run(&mut Coin(0.3))
+            .lanes;
         assert!(fall.iter().all(|r| r.kernel == KernelUsed::Batch));
         assert!(fall.iter().all(|r| r.threads == 1));
-        let forced = run_protocol_tiled(
-            &g,
-            0,
-            &mut Coin(0.3),
-            auto.with_kernel(EngineKernel::Tiled),
-            9,
-            8,
-        );
+        let forced = spec(&g, auto.with_kernel(EngineKernel::Tiled), None)
+            .with_lanes(8)
+            .with_master_seed(9)
+            .run(&mut Coin(0.3))
+            .lanes;
         assert!(forced.iter().all(|r| r.kernel == KernelUsed::Tiled));
         for (f, b) in forced.iter().zip(&fall) {
             assert_eq!(normalize(f.clone()), normalize(b.clone()));
@@ -852,21 +630,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_entry_point_delegates_forced_tiled() {
-        let mut grng = Xoshiro256pp::new(6);
-        let g = sample_gnp(50, 0.15, &mut grng);
-        let cfg = RunConfig::for_graph(50)
-            .with_max_rounds(40)
-            .with_kernel(EngineKernel::Tiled);
-        let via_batch = run_protocol_batch(&g, 0, &mut Coin(0.4), cfg, 11, 12);
-        assert!(via_batch.iter().all(|r| r.kernel == KernelUsed::Tiled));
-    }
-
-    #[test]
     fn single_node_graph_completes_in_zero_rounds() {
         let g = Graph::empty(1);
-        let tiled =
-            run_protocol_tiled_with_threads(&g, 0, &mut Coin(0.5), tiled_cfg(1), None, 1, 100, 2);
+        let tiled = lanes_on_threads(&g, 0.5, tiled_cfg(1), None, 1, 100, 2);
         for r in &tiled {
             assert!(r.completed);
             assert_eq!(r.rounds, 0);
@@ -879,6 +645,8 @@ mod tests {
     #[should_panic]
     fn too_many_lanes_rejected() {
         let g = Graph::path(3);
-        let _ = run_protocol_tiled(&g, 0, &mut Coin(0.5), tiled_cfg(3), 1, MAX_TILED_LANES + 1);
+        let _ = spec(&g, tiled_cfg(3), None)
+            .with_lanes(MAX_TILED_LANES + 1)
+            .run(&mut Coin(0.5));
     }
 }

@@ -20,6 +20,22 @@ done
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# Runs one selective `cargo test` step and fails it when no test ran, so
+# a name filter that stops matching (say, after a rename) cannot pass on
+# "running 0 tests".
+ctest() {
+  local out
+  if ! out=$(cargo test "$@" 2>&1); then
+    printf '%s\n' "$out"
+    return 1
+  fi
+  printf '%s\n' "$out"
+  if ! grep -Eq '^test result: ok\. [1-9][0-9]* passed' <<<"$out"; then
+    echo "error: 'cargo test $*' ran no tests" >&2
+    return 1
+  fi
+}
+
 step "cargo fmt --check"
 cargo fmt --all --check
 
@@ -36,15 +52,15 @@ cargo test --workspace --offline -q
 # bit-identically on the sparse, dense, and lane-batched kernels) is also
 # pinned explicitly, debug here and release below.
 step "fault-model differential suite (debug)"
-cargo test --offline -q -p radio-sim fault
-cargo test --offline -q -p radio-integration --test fault_differential
+ctest --offline -q -p radio-sim fault
+ctest --offline -q -p radio-integration --test fault_differential
 
 # The cross-backend contract: the implicit (seed-only) and sharded sweep
 # backends must be bit-identical to the explicit round engine, faulted and
 # lossy runs included.
 step "backend differential suite (debug)"
-cargo test --offline -q -p radio-sim sweep
-cargo test --offline -q -p radio-integration --test backend_differential
+ctest --offline -q -p radio-sim sweep
+ctest --offline -q -p radio-integration --test backend_differential
 
 # The exec-planner contract: RunSpec planning is a pure function of its
 # inputs, and the lane planes it schedules on provider backends are
@@ -52,8 +68,8 @@ cargo test --offline -q -p radio-integration --test backend_differential
 # regardless of the worker budget.
 step "exec planner suite (debug)"
 for threads in 1 8; do
-  RADIO_THREADS="$threads" cargo test --offline -q -p radio-sim exec
-  RADIO_THREADS="$threads" cargo test --offline -q \
+  RADIO_THREADS="$threads" ctest --offline -q -p radio-sim exec
+  RADIO_THREADS="$threads" ctest --offline -q \
     -p radio-integration --test backend_differential implicit_lane_planes
 done
 
@@ -63,9 +79,9 @@ done
 # internally; the RADIO_THREADS sweep additionally pins the env-driven
 # default pool size the CLI picks up.
 step "tiled kernel differential suite (debug)"
-cargo test --offline -q -p radio-sim tiled
+ctest --offline -q -p radio-sim tiled
 for threads in 1 8; do
-  RADIO_THREADS="$threads" cargo test --offline -q \
+  RADIO_THREADS="$threads" ctest --offline -q \
     -p radio-integration --test kernel_differential
 done
 
@@ -91,37 +107,37 @@ if [ "$fast" -eq 0 ]; then
   # traces) re-runs in release mode: the dense kernel's word arithmetic and
   # the Auto dispatch must hold under optimization, not just in debug.
   step "differential kernel tests (release)"
-  cargo test --release --offline -q -p radio-sim kernel
-  cargo test --release --offline -q -p radio-integration --test props_cross_crate kernel
+  ctest --release --offline -q -p radio-sim kernel
+  ctest --release --offline -q -p radio-integration --test props_cross_crate kernel
 
   # The lane-batched runner's bit-identity contract (every lane == the
   # scalar run on the same stream, lossy included) likewise must survive
   # optimization.
   step "batch equivalence suite (release)"
-  cargo test --release --offline -q -p radio-sim batch
-  cargo test --release --offline -q -p radio-integration --test batch_vs_scalar
+  ctest --release --offline -q -p radio-sim batch
+  ctest --release --offline -q -p radio-integration --test batch_vs_scalar
 
   # The fault-model differential suite re-runs in release: the dense
   # three-plane resolution and the batch jam/burst word arithmetic must
   # stay bit-identical to the sparse reference under optimization.
   step "fault-model differential suite (release)"
-  cargo test --release --offline -q -p radio-sim fault
-  cargo test --release --offline -q -p radio-integration --test fault_differential
+  ctest --release --offline -q -p radio-sim fault
+  ctest --release --offline -q -p radio-integration --test fault_differential
 
   # The cross-backend suite re-runs in release: geometric skip sampling and
   # the sharded merge must reproduce the explicit engine bit-for-bit under
   # optimization.
   step "backend differential suite (release)"
-  cargo test --release --offline -q -p radio-sim sweep
-  cargo test --release --offline -q -p radio-integration --test backend_differential
+  ctest --release --offline -q -p radio-sim sweep
+  ctest --release --offline -q -p radio-integration --test backend_differential
 
   # The exec-planner suite re-runs in release under both worker budgets:
   # planner purity and the lane-plane bit-identity must survive
   # optimization and be invariant under the thread budget.
   step "exec planner suite (release)"
   for threads in 1 8; do
-    RADIO_THREADS="$threads" cargo test --release --offline -q -p radio-sim exec
-    RADIO_THREADS="$threads" cargo test --release --offline -q \
+    RADIO_THREADS="$threads" ctest --release --offline -q -p radio-sim exec
+    RADIO_THREADS="$threads" ctest --release --offline -q \
       -p radio-integration --test backend_differential implicit_lane_planes
   done
 
@@ -130,9 +146,9 @@ if [ "$fast" -eq 0 ]; then
   # table, and the block-cursor work stealing must stay bit-identical
   # to the scalar engine under optimization.
   step "tiled kernel differential suite (release)"
-  cargo test --release --offline -q -p radio-sim tiled
+  ctest --release --offline -q -p radio-sim tiled
   for threads in 1 8; do
-    RADIO_THREADS="$threads" cargo test --release --offline -q \
+    RADIO_THREADS="$threads" ctest --release --offline -q \
       -p radio-integration --test kernel_differential
   done
 
@@ -157,7 +173,7 @@ if [ "$fast" -eq 0 ]; then
 
   step "experiment registry (release)"
   cargo run --release --offline -q -p radio-bench -- list
-  cargo test --release --offline -q -p radio-bench --test registry
+  ctest --release --offline -q -p radio-bench --test registry
 fi
 
 printf '\nall checks passed\n'

@@ -16,15 +16,10 @@
 //! The only [`RunResult`] field allowed to differ between backends is the
 //! informational `kernel` tag; every comparison normalizes it first.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use radio_broadcast::distributed::{Decay, EgDistributed};
 use radio_graph::{child_rng, GraphProvider, ImplicitGnp, Xoshiro256pp};
 use radio_sim::{
-    run_protocol, run_protocol_batch, run_protocol_faulty, run_protocol_provider,
-    run_protocol_provider_faulty, EngineKernel, FaultConfig, FaultPlan, KernelUsed, Protocol,
-    RunConfig, RunResult,
+    EngineKernel, FaultConfig, FaultPlan, KernelUsed, Protocol, RunConfig, RunResult, RunSpec,
 };
 
 const SIZES: [usize; 2] = [256, 4096];
@@ -93,7 +88,10 @@ fn implicit_matches_explicit_scalar_kernels() {
                 for kernel in [EngineKernel::Sparse, EngineKernel::Dense] {
                     let mut rng = Xoshiro256pp::new(7 + n as u64);
                     let mut proto = make();
-                    let r = run_protocol(&g, 0, proto.as_mut(), cfg.with_kernel(kernel), &mut rng);
+                    let r = RunSpec::on_graph(&g, 0)
+                        .with_config(cfg.with_kernel(kernel))
+                        .run_with_rng(proto.as_mut(), &mut rng)
+                        .into_single();
                     let got = (normalized(r), rng.next());
                     match &want {
                         None => want = Some(got),
@@ -107,7 +105,10 @@ fn implicit_matches_explicit_scalar_kernels() {
                 for shards in SHARD_COUNTS {
                     let mut rng = Xoshiro256pp::new(7 + n as u64);
                     let mut proto = make();
-                    let r = run_protocol_provider(&imp, shards, 0, proto.as_mut(), cfg, &mut rng);
+                    let r = RunSpec::on_provider(&imp, shards, 0)
+                        .with_config(cfg)
+                        .run_with_rng(proto.as_mut(), &mut rng)
+                        .into_single();
                     assert_eq!(r.kernel, KernelUsed::Sweep);
                     assert_eq!(
                         want_result, r,
@@ -139,8 +140,11 @@ fn faulted_lossy_backends_bit_identical() {
         for kernel in [EngineKernel::Sparse, EngineKernel::Dense] {
             let mut rng = Xoshiro256pp::new(99);
             let mut proto = EgDistributed::new(p);
-            let r =
-                run_protocol_faulty(&g, 0, &mut proto, cfg.with_kernel(kernel), &plan, &mut rng);
+            let r = RunSpec::on_graph(&g, 0)
+                .with_config(cfg.with_kernel(kernel))
+                .with_faults(&plan)
+                .run_with_rng(&mut proto, &mut rng)
+                .into_single();
             assert!(
                 r.faults.is_some(),
                 "faulty runs must carry a degradation summary"
@@ -155,7 +159,11 @@ fn faulted_lossy_backends_bit_identical() {
         for shards in SHARD_COUNTS {
             let mut rng = Xoshiro256pp::new(99);
             let mut proto = EgDistributed::new(p);
-            let r = run_protocol_provider_faulty(&imp, shards, 0, &mut proto, cfg, &plan, &mut rng);
+            let r = RunSpec::on_provider(&imp, shards, 0)
+                .with_config(cfg)
+                .with_faults(&plan)
+                .run_with_rng(&mut proto, &mut rng)
+                .into_single();
             assert_eq!(
                 want_result, r,
                 "n={n} shards={shards}: faulted+lossy implicit diverged"
@@ -181,14 +189,22 @@ fn batch_lanes_match_implicit_backend() {
     let master = 4096u64;
     let lanes = 16;
     let mut proto = EgDistributed::new(p);
-    let batch = run_protocol_batch(&g, 0, &mut proto, cfg, master, lanes);
+    let batch = RunSpec::on_graph(&g, 0)
+        .with_config(cfg)
+        .with_lanes(lanes)
+        .with_master_seed(master)
+        .run(&mut proto)
+        .lanes;
     assert_eq!(batch.len(), lanes);
     for (lane, lane_result) in batch.iter().enumerate() {
         assert_eq!(lane_result.kernel, KernelUsed::Batch);
         for shards in SHARD_COUNTS {
             let mut rng = child_rng(master, lane as u64);
             let mut proto = EgDistributed::new(p);
-            let r = run_protocol_provider(&imp, shards, 0, &mut proto, cfg, &mut rng);
+            let r = RunSpec::on_provider(&imp, shards, 0)
+                .with_config(cfg)
+                .run_with_rng(&mut proto, &mut rng)
+                .into_single();
             assert_eq!(
                 normalized(lane_result.clone()),
                 r,
@@ -265,12 +281,20 @@ fn sharded_explicit_matches_round_engine() {
         let cfg = RunConfig::for_graph(n);
         let mut rng_a = Xoshiro256pp::new(5);
         let mut proto_a = EgDistributed::new(p);
-        let want = normalized(run_protocol(&g, 1, &mut proto_a, cfg, &mut rng_a));
+        let want = normalized(
+            RunSpec::on_graph(&g, 1)
+                .with_config(cfg)
+                .run_with_rng(&mut proto_a, &mut rng_a)
+                .into_single(),
+        );
         let want_residual = rng_a.next();
         for shards in [4, 9] {
             let mut rng_b = Xoshiro256pp::new(5);
             let mut proto_b = EgDistributed::new(p);
-            let r = run_protocol_provider(&g, shards, 1, &mut proto_b, cfg, &mut rng_b);
+            let r = RunSpec::on_provider(&g, shards, 1)
+                .with_config(cfg)
+                .run_with_rng(&mut proto_b, &mut rng_b)
+                .into_single();
             assert_eq!(r.kernel, KernelUsed::Sweep);
             assert_eq!(want, r, "n={n} shards={shards}");
             assert_eq!(want_residual, rng_b.next(), "n={n} shards={shards}");

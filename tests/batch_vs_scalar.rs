@@ -1,6 +1,7 @@
 //! Differential suite for the lane-batched Monte-Carlo runner: every lane
-//! of `run_protocol_batch(graph, ..., master, lanes)` must be bit-identical
-//! to a scalar `run_protocol` on the RNG stream `child_rng(master, lane)` —
+//! of a multi-lane `RunSpec::on_graph(graph, ..)` run with master seed
+//! `master` must be bit-identical to the scalar run on the RNG stream
+//! `child_rng(master, lane)` —
 //! completion flag, completion round, final informed count, and the full
 //! per-round trace (transmitters, newly informed, collisions, reached,
 //! informed-after) — for each kernel selection and with and without loss.
@@ -9,12 +10,9 @@
 //! contract is transitive: scalar runs are themselves kernel-invariant
 //! (`props_cross_crate`), so the batch runner must match all of them.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use radio_broadcast::prelude::*;
 use radio_graph::{child_rng, derive_seed};
-use radio_sim::{run_protocol, run_protocol_batch, EngineKernel, KernelUsed, Protocol};
+use radio_sim::{EngineKernel, KernelUsed, Protocol};
 
 /// Compare everything except the informational `kernel` field (scalar runs
 /// report sparse/dense/mixed, lanes report batch).
@@ -36,12 +34,20 @@ fn assert_batch_matches_scalar<P, F>(
     F: Fn() -> P,
 {
     let mut batch_proto = factory();
-    let batch = run_protocol_batch(g, source, &mut batch_proto, cfg, master, lanes);
+    let batch = RunSpec::on_graph(g, source)
+        .with_config(cfg)
+        .with_lanes(lanes)
+        .with_master_seed(master)
+        .run(&mut batch_proto)
+        .lanes;
     assert_eq!(batch.len(), lanes, "{ctx}");
     for (lane, got) in batch.into_iter().enumerate() {
         let mut rng = child_rng(master, lane as u64);
         let mut proto = factory();
-        let want = run_protocol(g, source, &mut proto, cfg, &mut rng);
+        let want = RunSpec::on_graph(g, source)
+            .with_config(cfg)
+            .run_with_rng(&mut proto, &mut rng)
+            .into_single();
         // A 1-lane "batch" is planned onto the scalar round engine by the
         // exec planner; the informational kernel tag follows the engine.
         if lanes > 1 {

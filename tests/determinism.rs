@@ -1,9 +1,6 @@
 //! Reproducibility guarantees: everything stochastic is a pure function of
 //! its seed, and parallel sweeps equal serial ones bit-for-bit.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use radio_broadcast::prelude::*;
 use radio_graph::gnm::sample_gnm;
 use radio_graph::{child_rng, derive_seed};
@@ -27,7 +24,10 @@ fn protocol_runs_deterministic() {
     let run = |seed: u64| {
         let mut rng = Xoshiro256pp::new(seed);
         let mut proto = EgDistributed::new(p);
-        run_protocol(&g, 0, &mut proto, RunConfig::for_graph(n), &mut rng)
+        RunSpec::on_graph(&g, 0)
+            .with_config(RunConfig::for_graph(n))
+            .run_with_rng(&mut proto, &mut rng)
+            .into_single()
     };
     let a = run(123);
     let b = run(123);
@@ -66,7 +66,10 @@ fn parallel_sweep_equals_serial_sweep() {
         let p = 25.0 / n as f64;
         let g = sample_gnp(n, p, rng);
         let mut proto = EgDistributed::new(p);
-        let r = run_protocol(&g, 0, &mut proto, RunConfig::for_graph(n), rng);
+        let r = RunSpec::on_graph(&g, 0)
+            .with_config(RunConfig::for_graph(n))
+            .run_with_rng(&mut proto, rng)
+            .into_single();
         (r.completed, r.rounds, r.informed)
     };
     let par = run_trials(24, 777, job);
@@ -76,10 +79,7 @@ fn parallel_sweep_equals_serial_sweep() {
 
 #[test]
 fn faulty_lossy_sweeps_identical_across_threads_and_kernels() {
-    use radio_sim::{
-        run_protocol_faulty, BurstParams, EngineKernel, FaultConfig, FaultPlan, KernelUsed,
-        TraceLevel,
-    };
+    use radio_sim::{BurstParams, EngineKernel, FaultConfig, FaultPlan, KernelUsed, TraceLevel};
     let n = 500;
     let p = 22.0 / n as f64;
     let g = sample_gnp(n, p, &mut Xoshiro256pp::new(31));
@@ -108,7 +108,11 @@ fn faulty_lossy_sweeps_identical_across_threads_and_kernels() {
                 .with_loss(0.15)
                 .with_trace(TraceLevel::PerRound);
             let mut proto = EgDistributed::new(p);
-            run_protocol_faulty(&g, 0, &mut proto, cfg, &plan, rng)
+            RunSpec::on_graph(&g, 0)
+                .with_config(cfg)
+                .with_faults(&plan)
+                .run_with_rng(&mut proto, rng)
+                .into_single()
         };
         std::env::set_var("RADIO_THREADS", "1");
         let serial = run_trials(8, 4040, job);
@@ -158,12 +162,21 @@ fn run_results_depend_only_on_inputs_not_history() {
     let g = sample_gnp(600, 0.05, &mut Xoshiro256pp::new(10));
     let mut shared = Xoshiro256pp::new(11);
     let mut proto = Decay::new();
-    let first = run_protocol(&g, 0, &mut proto, RunConfig::for_graph(600), &mut shared);
-    let second = run_protocol(&g, 0, &mut proto, RunConfig::for_graph(600), &mut shared);
+    let first = RunSpec::on_graph(&g, 0)
+        .with_config(RunConfig::for_graph(600))
+        .run_with_rng(&mut proto, &mut shared)
+        .into_single();
+    let second = RunSpec::on_graph(&g, 0)
+        .with_config(RunConfig::for_graph(600))
+        .run_with_rng(&mut proto, &mut shared)
+        .into_single();
     // With a fresh generator the first run is reproduced.
     let mut fresh = Xoshiro256pp::new(11);
     let mut proto2 = Decay::new();
-    let first_again = run_protocol(&g, 0, &mut proto2, RunConfig::for_graph(600), &mut fresh);
+    let first_again = RunSpec::on_graph(&g, 0)
+        .with_config(RunConfig::for_graph(600))
+        .run_with_rng(&mut proto2, &mut fresh)
+        .into_single();
     assert_eq!(first, first_again);
     // (The second run from the advanced state will generally differ.)
     let _ = second;

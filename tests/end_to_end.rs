@@ -1,9 +1,6 @@
 //! End-to-end integration: sample graph → build schedule / run protocol →
 //! everyone informed, with the measured rounds in the theorems' ballparks.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use radio_broadcast::prelude::*;
 use radio_graph::components::is_connected;
 
@@ -73,7 +70,10 @@ fn distributed_pipeline_multiple_sources() {
     let g = connected_gnp(n, p, &mut rng);
     for source in [0, 1_234, (n - 1) as NodeId] {
         let mut proto = EgDistributed::new(p);
-        let r = run_protocol(&g, source, &mut proto, RunConfig::for_graph(n), &mut rng);
+        let r = RunSpec::on_graph(&g, source)
+            .with_config(RunConfig::for_graph(n))
+            .run_with_rng(&mut proto, &mut rng)
+            .into_single();
         assert!(r.completed, "source {source}: informed {}/{n}", r.informed);
         let ln_n = (n as f64).ln();
         assert!(
@@ -95,7 +95,10 @@ fn centralized_beats_distributed_knowledge_gap() {
 
     let built = build_eg_schedule(&g, 0, CentralizedParams::default(), &mut rng);
     let mut proto = EgDistributed::new(p);
-    let dist = run_protocol(&g, 0, &mut proto, RunConfig::for_graph(n), &mut rng);
+    let dist = RunSpec::on_graph(&g, 0)
+        .with_config(RunConfig::for_graph(n))
+        .run_with_rng(&mut proto, &mut rng)
+        .into_single();
 
     assert!(built.completed && dist.completed);
     assert!(
@@ -119,7 +122,10 @@ fn gnm_model_also_works() {
     }
     let p_equiv = 2.0 * m as f64 / (n as f64 * (n as f64 - 1.0));
     let mut proto = EgDistributed::new(p_equiv);
-    let r = run_protocol(&g, 0, &mut proto, RunConfig::for_graph(n), &mut rng);
+    let r = RunSpec::on_graph(&g, 0)
+        .with_config(RunConfig::for_graph(n))
+        .run_with_rng(&mut proto, &mut rng)
+        .into_single();
     assert!(r.completed);
 }
 
@@ -139,6 +145,9 @@ fn geometric_graph_extension() {
     let mut proto = EgDistributed::new(p_equiv);
     // RGG diameter is Θ(1/r) ≫ ln n; give the run a diameter-scaled budget.
     let cfg = RunConfig::for_graph(n).with_max_rounds(20_000);
-    let r = run_protocol(&gg.graph, 0, &mut proto, cfg, &mut rng);
+    let r = RunSpec::on_graph(&gg.graph, 0)
+        .with_config(cfg)
+        .run_with_rng(&mut proto, &mut rng)
+        .into_single();
     assert!(r.completed);
 }

@@ -2,12 +2,9 @@
 //! injection, multi-source, unknown-degree protocol, tree scheduling, and
 //! the exact-OPT cross-validation.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use radio_broadcast::prelude::*;
 use radio_graph::components::is_connected;
-use radio_sim::{run_protocol_multi, RunMetrics};
+use radio_sim::RunMetrics;
 
 fn connected_gnp(n: usize, p: f64, rng: &mut Xoshiro256pp) -> Graph {
     for _ in 0..50 {
@@ -48,13 +45,10 @@ fn gossiping_dominates_broadcast_time() {
     let mut strat = ConstantProb::new(1.0 / d);
     let gossip = run_radio_gossiping(&g, &mut strat, 50_000, &mut Xoshiro256pp::new(7));
     let mut proto = ConstantProb::new(1.0 / d);
-    let bcast = run_protocol(
-        &g,
-        0,
-        &mut proto,
-        RunConfig::for_graph(n),
-        &mut Xoshiro256pp::new(7),
-    );
+    let bcast = RunSpec::on_graph(&g, 0)
+        .with_config(RunConfig::for_graph(n))
+        .run_with_rng(&mut proto, &mut Xoshiro256pp::new(7))
+        .into_single();
     assert!(gossip.completed && bcast.completed);
     assert!(gossip.rounds >= bcast.rounds);
 }
@@ -66,21 +60,15 @@ fn lossy_broadcast_completes_and_slows_down() {
     let p = 30.0 / n as f64;
     let g = connected_gnp(n, p, &mut rng);
     let mut a = EgDistributed::new(p);
-    let clean = run_protocol(
-        &g,
-        0,
-        &mut a,
-        RunConfig::for_graph(n),
-        &mut Xoshiro256pp::new(5),
-    );
+    let clean = RunSpec::on_graph(&g, 0)
+        .with_config(RunConfig::for_graph(n))
+        .run_with_rng(&mut a, &mut Xoshiro256pp::new(5))
+        .into_single();
     let mut b = EgDistributed::new(p);
-    let lossy = run_protocol(
-        &g,
-        0,
-        &mut b,
-        RunConfig::for_graph(n).with_loss(0.5),
-        &mut Xoshiro256pp::new(5),
-    );
+    let lossy = RunSpec::on_graph(&g, 0)
+        .with_config(RunConfig::for_graph(n).with_loss(0.5))
+        .run_with_rng(&mut b, &mut Xoshiro256pp::new(5))
+        .into_single();
     assert!(clean.completed && lossy.completed);
     assert!(lossy.rounds > clean.rounds);
 }
@@ -92,13 +80,11 @@ fn multi_source_never_slower_much() {
     let p = 25.0 / n as f64;
     let g = connected_gnp(n, p, &mut rng);
     let mut proto = EgDistributed::new(p);
-    let multi = run_protocol_multi(
-        &g,
-        &[0, 100, 200, 300],
-        &mut proto,
-        RunConfig::for_graph(n),
-        &mut rng,
-    );
+    let multi = RunSpec::on_graph(&g, 0)
+        .with_sources(&[0, 100, 200, 300])
+        .with_config(RunConfig::for_graph(n))
+        .run_with_rng(&mut proto, &mut rng)
+        .into_single();
     assert!(multi.completed);
 }
 
@@ -109,7 +95,10 @@ fn unknown_degree_protocol_is_density_free() {
         let n = 1200;
         let g = connected_gnp(n, d / n as f64, &mut rng);
         let mut proto = EgUnknownDegree::new();
-        let r = run_protocol(&g, 0, &mut proto, RunConfig::for_graph(n), &mut rng);
+        let r = RunSpec::on_graph(&g, 0)
+            .with_config(RunConfig::for_graph(n))
+            .run_with_rng(&mut proto, &mut rng)
+            .into_single();
         assert!(r.completed, "d = {d}");
     }
 }
@@ -171,7 +160,10 @@ fn run_metrics_on_real_run() {
     let g = connected_gnp(n, p, &mut rng);
     let mut proto = EgDistributed::new(p);
     let cfg = RunConfig::for_graph(n).with_trace(TraceLevel::PerRound);
-    let r = run_protocol(&g, 0, &mut proto, cfg, &mut rng);
+    let r = RunSpec::on_graph(&g, 0)
+        .with_config(cfg)
+        .run_with_rng(&mut proto, &mut rng)
+        .into_single();
     assert!(r.completed);
     let m = RunMetrics::from_result(&r);
     // Milestones are ordered.

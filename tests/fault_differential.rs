@@ -8,15 +8,12 @@
 //! protocol stack (EG, Decay, and the epoch-restarting wrapper) rather
 //! than the simulator's internal test protocols.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use radio_broadcast::distributed::{Decay, EgDistributed, Restartable};
 use radio_graph::gnp::sample_gnp;
 use radio_graph::{child_rng, Graph, GraphProvider, ImplicitGnp, Xoshiro256pp};
 use radio_sim::{
-    run_protocol_batch_faulty, run_protocol_faulty, EngineKernel, FaultConfig, FaultPlan,
-    KernelUsed, Protocol, RunConfig, RunSpec, TraceLevel, MAX_LANES,
+    EngineKernel, FaultConfig, FaultPlan, KernelUsed, Protocol, RunConfig, RunSpec, TraceLevel,
+    MAX_LANES,
 };
 
 /// One fault plan per fault type, plus a kitchen-sink combination.
@@ -97,28 +94,23 @@ fn batch_lanes_match_scalar_kernels_under_faults() {
         };
         for (proto_name, make) in protocol_factories(p) {
             let mut batch_proto = make();
-            let lanes = run_protocol_batch_faulty(
-                &g,
-                0,
-                batch_proto.as_mut(),
-                cfg,
-                &plan,
-                master,
-                MAX_LANES,
-            );
+            let lanes = RunSpec::on_graph(&g, 0)
+                .with_config(cfg)
+                .with_faults(&plan)
+                .with_lanes(MAX_LANES)
+                .with_master_seed(master)
+                .run(batch_proto.as_mut())
+                .lanes;
             for lane in [0usize, 1, 7, MAX_LANES - 1] {
                 let mut streams = Vec::new();
                 for kernel in [EngineKernel::Sparse, EngineKernel::Dense] {
                     let mut rng = child_rng(master, lane as u64);
                     let mut proto = make();
-                    let mut scalar = run_protocol_faulty(
-                        &g,
-                        0,
-                        proto.as_mut(),
-                        cfg.with_kernel(kernel),
-                        &plan,
-                        &mut rng,
-                    );
+                    let mut scalar = RunSpec::on_graph(&g, 0)
+                        .with_config(cfg.with_kernel(kernel))
+                        .with_faults(&plan)
+                        .run_with_rng(proto.as_mut(), &mut rng)
+                        .into_single();
                     scalar.kernel = KernelUsed::Batch;
                     assert_eq!(
                         scalar, lanes[lane],
@@ -215,7 +207,11 @@ fn fault_summary_is_kernel_independent() {
     let run = |kernel| {
         let mut proto = EgDistributed::new(p);
         let mut rng = Xoshiro256pp::new(77);
-        run_protocol_faulty(&g, 0, &mut proto, cfg.with_kernel(kernel), &plan, &mut rng)
+        RunSpec::on_graph(&g, 0)
+            .with_config(cfg.with_kernel(kernel))
+            .with_faults(&plan)
+            .run_with_rng(&mut proto, &mut rng)
+            .into_single()
     };
     let sparse = run(EngineKernel::Sparse);
     let dense = run(EngineKernel::Dense);

@@ -7,9 +7,6 @@
 //! `docs/OBSERVABILITY.md`, and re-bless the files by running the tests
 //! with `GOLDEN_UPDATE=1`.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use std::path::PathBuf;
 
 use radio_bench::report::{BenchPoint, BenchReport};

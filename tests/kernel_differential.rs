@@ -17,15 +17,10 @@
 //! the informational `kernel` and `threads` tags; every comparison
 //! normalizes them first.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use radio_broadcast::distributed::{Decay, EgDistributed};
 use radio_graph::{child_rng, GraphProvider, ImplicitGnp, Xoshiro256pp};
 use radio_sim::{
-    run_protocol, run_protocol_batch, run_protocol_batch_faulty, run_protocol_faulty,
-    run_protocol_tiled_with_threads, EngineKernel, FaultConfig, FaultPlan, KernelUsed, Protocol,
-    RunConfig, RunResult,
+    EngineKernel, FaultConfig, FaultPlan, KernelUsed, Protocol, RunConfig, RunResult, RunSpec,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 3, 8];
@@ -94,19 +89,20 @@ fn tiled_thread_counts_bit_identical() {
         let mut want: Option<Vec<RunResult>> = None;
         for threads in THREAD_COUNTS {
             let mut proto = EgDistributed::new(p);
-            let got: Vec<RunResult> = run_protocol_tiled_with_threads(
-                &g,
-                0,
-                &mut proto,
-                cfg,
-                faulted.then_some(&plan),
-                master,
-                lanes,
-                threads,
-            )
-            .into_iter()
-            .map(normalized)
-            .collect();
+            let mut spec = RunSpec::on_graph(&g, 0)
+                .with_config(cfg)
+                .with_lanes(lanes)
+                .with_master_seed(master)
+                .with_threads(threads);
+            if faulted {
+                spec = spec.with_faults(&plan);
+            }
+            let got: Vec<RunResult> = spec
+                .run(&mut proto)
+                .lanes
+                .into_iter()
+                .map(normalized)
+                .collect();
             if faulted {
                 assert!(
                     got.iter().all(|r| r.faults.is_some()),
@@ -143,23 +139,33 @@ fn tiled_lanes_match_scalar_and_batch() {
         for (proto_name, make) in protocol_factories(p) {
             let tiled_cfg = cfg.with_kernel(EngineKernel::Tiled);
             let mut proto = make();
-            let tiled = run_protocol_tiled_with_threads(
-                &g,
-                0,
-                proto.as_mut(),
-                tiled_cfg,
-                faulted.then_some(&plan),
-                master,
-                lanes,
-                3,
-            );
+            let mut spec = RunSpec::on_graph(&g, 0)
+                .with_config(tiled_cfg)
+                .with_lanes(lanes)
+                .with_master_seed(master)
+                .with_threads(3);
+            if faulted {
+                spec = spec.with_faults(&plan);
+            }
+            let tiled = spec.run(proto.as_mut()).lanes;
             assert!(tiled.iter().all(|r| r.kernel == KernelUsed::Tiled));
 
             let mut proto = make();
             let batch = if faulted {
-                run_protocol_batch_faulty(&g, 0, proto.as_mut(), cfg, &plan, master, lanes)
+                RunSpec::on_graph(&g, 0)
+                    .with_config(cfg)
+                    .with_faults(&plan)
+                    .with_lanes(lanes)
+                    .with_master_seed(master)
+                    .run(proto.as_mut())
+                    .lanes
             } else {
-                run_protocol_batch(&g, 0, proto.as_mut(), cfg, master, lanes)
+                RunSpec::on_graph(&g, 0)
+                    .with_config(cfg)
+                    .with_lanes(lanes)
+                    .with_master_seed(master)
+                    .run(proto.as_mut())
+                    .lanes
             };
 
             for l in 0..lanes {
@@ -174,16 +180,16 @@ fn tiled_lanes_match_scalar_and_batch() {
                     let mut rng = child_rng(master, l as u64);
                     let mut proto = make();
                     let r = if faulted {
-                        run_protocol_faulty(
-                            &g,
-                            0,
-                            proto.as_mut(),
-                            cfg.with_kernel(kernel),
-                            &plan,
-                            &mut rng,
-                        )
+                        RunSpec::on_graph(&g, 0)
+                            .with_config(cfg.with_kernel(kernel))
+                            .with_faults(&plan)
+                            .run_with_rng(proto.as_mut(), &mut rng)
+                            .into_single()
                     } else {
-                        run_protocol(&g, 0, proto.as_mut(), cfg.with_kernel(kernel), &mut rng)
+                        RunSpec::on_graph(&g, 0)
+                            .with_config(cfg.with_kernel(kernel))
+                            .run_with_rng(proto.as_mut(), &mut rng)
+                            .into_single()
                     };
                     let got = (normalized(r), rng.next());
                     match &want {
@@ -221,7 +227,10 @@ fn scalar_engine_reports_tiled_kernel() {
     let cfg = RunConfig::for_graph(n).with_kernel(EngineKernel::Tiled);
     let mut rng = Xoshiro256pp::new(77);
     let mut proto = EgDistributed::new(p);
-    let r = run_protocol(&g, 0, &mut proto, cfg, &mut rng);
+    let r = RunSpec::on_graph(&g, 0)
+        .with_config(cfg)
+        .run_with_rng(&mut proto, &mut rng)
+        .into_single();
     assert_eq!(r.kernel, KernelUsed::Tiled);
     assert_eq!(r.threads, 1, "scalar kernels are single-threaded");
 }

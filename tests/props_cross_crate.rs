@@ -5,9 +5,6 @@
 //! Cases are generated from deterministic per-case seeds (no external
 //! property-testing dependency); assertions carry the case index.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use radio_broadcast::prelude::*;
 use radio_graph::bipartite::{covered_targets, is_independent_cover};
 use radio_graph::cover::greedy_radio_cover;
@@ -165,7 +162,7 @@ fn kernel_choice_invisible_in_multi_round_runs() {
 /// informational `kernel` field.
 #[test]
 fn run_reports_byte_identical_modulo_kernel_field() {
-    use radio_sim::{run_protocol, Protocol, RunConfig};
+    use radio_sim::{Protocol, RunConfig, RunSpec};
 
     struct Flood;
     impl Protocol for Flood {
@@ -186,7 +183,10 @@ fn run_reports_byte_identical_modulo_kernel_field() {
     ] {
         let mut rng = Xoshiro256pp::new(77);
         let cfg = RunConfig::for_graph(512).with_kernel(kernel);
-        let result = run_protocol(&g, 0, &mut Flood, cfg, &mut rng);
+        let result = RunSpec::on_graph(&g, 0)
+            .with_config(cfg)
+            .run_with_rng(&mut Flood, &mut rng)
+            .into_single();
         let report = radio_sim::RunReport::from_result("flood", &result).with_seed(77);
         renders.push((result.kernel, report.to_json().render_pretty()));
     }
@@ -211,7 +211,7 @@ fn run_reports_byte_identical_modulo_kernel_field() {
 /// effective parallelism.
 #[test]
 fn run_trials_batch_composition_deterministic() {
-    use radio_sim::{run_protocol, run_protocol_batch, run_trials, run_trials_serial, RunConfig};
+    use radio_sim::{run_trials, run_trials_serial, RunConfig, RunSpec};
 
     let lanes = 8usize;
     let job = |i: usize, rng: &mut Xoshiro256pp| {
@@ -220,21 +220,22 @@ fn run_trials_batch_composition_deterministic() {
         let source = rng.below(n as u64) as NodeId;
         let lane_seed = rng.next();
         let cfg = RunConfig::for_graph(n).with_max_rounds(40);
-        let results = run_protocol_batch(
-            &g,
-            source,
-            &mut ConstantProb::new(0.25),
-            cfg,
-            lane_seed,
-            lanes,
-        );
+        let results = RunSpec::on_graph(&g, source)
+            .with_config(cfg)
+            .with_lanes(lanes)
+            .with_master_seed(lane_seed)
+            .run(&mut ConstantProb::new(0.25))
+            .lanes;
         let digest: Vec<(bool, u32, usize)> = results
             .iter()
             .map(|r| (r.completed, r.rounds, r.informed))
             .collect();
         // Cross-check one lane against a direct scalar run on its stream.
         let mut lane_rng = radio_graph::child_rng(lane_seed, (i % lanes) as u64);
-        let scalar = run_protocol(&g, source, &mut ConstantProb::new(0.25), cfg, &mut lane_rng);
+        let scalar = RunSpec::on_graph(&g, source)
+            .with_config(cfg)
+            .run_with_rng(&mut ConstantProb::new(0.25), &mut lane_rng)
+            .into_single();
         assert_eq!(
             digest[i % lanes],
             (scalar.completed, scalar.rounds, scalar.informed),

@@ -2,9 +2,6 @@
 //! correctly on the graph families it is supposed to handle, and the
 //! baselines fail exactly where the paper says they must.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use radio_broadcast::distributed::run_push_gossip;
 use radio_broadcast::prelude::*;
 use radio_graph::components::is_connected;
@@ -35,7 +32,10 @@ fn all_radio_protocols_complete_on_moderate_graph() {
         Box::new(ConstantProb::new(1.0 / d)),
     ];
     for proto in protocols.iter_mut() {
-        let r = run_protocol(&g, 3, proto.as_mut(), RunConfig::for_graph(n), &mut rng);
+        let r = RunSpec::on_graph(&g, 3)
+            .with_config(RunConfig::for_graph(n))
+            .run_with_rng(proto.as_mut(), &mut rng)
+            .into_single();
         assert!(
             r.completed,
             "{} failed: informed {}/{n}",
@@ -52,7 +52,10 @@ fn round_robin_completes_with_linear_budget() {
     let g = connected_gnp(n, 0.08, &mut rng);
     let mut proto = RoundRobin::default();
     let cfg = RunConfig::for_graph(n).with_max_rounds((n * n) as u32);
-    let r = run_protocol(&g, 0, &mut proto, cfg, &mut rng);
+    let r = RunSpec::on_graph(&g, 0)
+        .with_config(cfg)
+        .run_with_rng(&mut proto, &mut rng)
+        .into_single();
     assert!(r.completed);
 }
 
@@ -65,7 +68,10 @@ fn selective_family_broadcast_on_bounded_degree() {
     let mut proto = SelectiveBroadcast::for_degree_bound(n, max_deg + 1);
     let period = proto.family().len() as u32;
     let cfg = RunConfig::for_graph(n).with_max_rounds(period * 64);
-    let r = run_protocol(&g, 0, &mut proto, cfg, &mut rng);
+    let r = RunSpec::on_graph(&g, 0)
+        .with_config(cfg)
+        .run_with_rng(&mut proto, &mut rng)
+        .into_single();
     assert!(r.completed, "informed {}/{n}", r.informed);
 }
 
@@ -78,7 +84,10 @@ fn flooding_fails_on_dense_but_gossip_succeeds() {
     let g = connected_gnp(n, 0.15, &mut rng);
 
     let cfg = RunConfig::for_graph(n).with_max_rounds(400);
-    let flood = run_protocol(&g, 0, &mut Flooding, cfg, &mut rng);
+    let flood = RunSpec::on_graph(&g, 0)
+        .with_config(cfg)
+        .run_with_rng(&mut Flooding, &mut rng)
+        .into_single();
     assert!(!flood.completed, "flooding should jam on dense graphs");
 
     let gossip = run_push_gossip(&g, 0, 400, TraceLevel::SummaryOnly, &mut rng);
@@ -94,7 +103,10 @@ fn eg_handles_near_threshold_density() {
     let mut rng = Xoshiro256pp::new(14);
     let g = connected_gnp(n, p, &mut rng);
     let mut proto = EgDistributed::new(p);
-    let r = run_protocol(&g, 0, &mut proto, RunConfig::for_graph(n), &mut rng);
+    let r = RunSpec::on_graph(&g, 0)
+        .with_config(RunConfig::for_graph(n))
+        .run_with_rng(&mut proto, &mut rng)
+        .into_single();
     assert!(r.completed, "informed {}/{n}", r.informed);
 }
 
@@ -110,11 +122,17 @@ fn probability_profile_equals_constant_protocol() {
 
     let mut rng_a = Xoshiro256pp::new(500);
     let mut prof = ProbabilityProfile::constant(1.0 / d);
-    let a = run_protocol(&g, 0, &mut prof, RunConfig::for_graph(n), &mut rng_a);
+    let a = RunSpec::on_graph(&g, 0)
+        .with_config(RunConfig::for_graph(n))
+        .run_with_rng(&mut prof, &mut rng_a)
+        .into_single();
 
     let mut rng_b = Xoshiro256pp::new(500);
     let mut cp = ConstantProb::new(1.0 / d);
-    let b = run_protocol(&g, 0, &mut cp, RunConfig::for_graph(n), &mut rng_b);
+    let b = RunSpec::on_graph(&g, 0)
+        .with_config(RunConfig::for_graph(n))
+        .run_with_rng(&mut cp, &mut rng_b)
+        .into_single();
 
     assert_eq!(a.rounds, b.rounds);
     assert_eq!(a.completed, b.completed);
@@ -129,7 +147,10 @@ fn energy_accounting_is_consistent() {
     let g = connected_gnp(n, p, &mut rng);
     let cfg = RunConfig::for_graph(n).with_trace(TraceLevel::PerRound);
     let mut proto = EgDistributed::new(p);
-    let r = run_protocol(&g, 0, &mut proto, cfg, &mut rng);
+    let r = RunSpec::on_graph(&g, 0)
+        .with_config(cfg)
+        .run_with_rng(&mut proto, &mut rng)
+        .into_single();
     assert!(r.completed);
     // Trace internal consistency: informed_after is monotone and ends at n.
     let mut prev = 1;

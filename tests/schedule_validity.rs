@@ -2,9 +2,6 @@
 //! round, phase invariants, and exact agreement between the builder's
 //! internal simulation and an independent replay.
 
-// The deprecated run_protocol_* shims are pinned here against the RunSpec
-// planner paths until the shims are removed.
-#![allow(deprecated)]
 use radio_broadcast::prelude::*;
 use radio_graph::components::is_connected;
 use radio_sim::BroadcastState;
