@@ -14,7 +14,7 @@
 //! [`EgDistributed`](crate::distributed::EgDistributed), which experiment
 //! `E-CMP` demonstrates.
 
-use radio_graph::Xoshiro256pp;
+use radio_graph::{NodeId, Xoshiro256pp};
 use radio_sim::{LocalNode, Protocol};
 
 /// The Decay protocol; knows only `n`.
@@ -51,6 +51,22 @@ impl Protocol for Decay {
             true // 2^0 = probability 1
         } else {
             rng.coin(0.5f64.powi(j as i32))
+        }
+    }
+
+    fn transmits_lanes(
+        &mut self,
+        _id: NodeId,
+        round: u32,
+        lanes: u64,
+        _informed_round: &[u32],
+        rngs: &mut [Xoshiro256pp],
+    ) -> u64 {
+        let j = (round - 1) % self.phase_len;
+        if j == 0 {
+            lanes
+        } else {
+            Xoshiro256pp::lane_coins(rngs, lanes, 0.5f64.powi(j as i32))
         }
     }
 }

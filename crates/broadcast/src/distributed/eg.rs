@@ -22,7 +22,7 @@
 //! which is what the back-fill argument effectively uses; experiment `E-ABL`
 //! compares the two.
 
-use radio_graph::Xoshiro256pp;
+use radio_graph::{NodeId, Xoshiro256pp};
 use radio_sim::{LocalNode, Protocol};
 
 use crate::theory::{non_selective_rounds, seed_round_probability};
@@ -133,6 +133,32 @@ impl Protocol for EgDistributed {
                 return false;
             }
             rng.coin(1.0 / self.d)
+        }
+    }
+
+    fn transmits_lanes(
+        &mut self,
+        _id: NodeId,
+        round: u32,
+        lanes: u64,
+        informed_round: &[u32],
+        rngs: &mut [Xoshiro256pp],
+    ) -> u64 {
+        let seed_round = self.d1 + 1;
+        if round <= self.d1 {
+            lanes
+        } else if round == seed_round {
+            Xoshiro256pp::lane_coins(rngs, lanes, self.seed_prob)
+        } else {
+            let mut lanes = lanes;
+            if self.variant == EgVariant::Strict {
+                for (l, &r) in informed_round.iter().enumerate() {
+                    if r > seed_round {
+                        lanes &= !(1 << l);
+                    }
+                }
+            }
+            Xoshiro256pp::lane_coins(rngs, lanes, 1.0 / self.d)
         }
     }
 }

@@ -16,7 +16,7 @@
 //! (`exp_ablation`-style comparison done in its unit tests and available to
 //! the CLI as protocol `unknown`).
 
-use radio_graph::Xoshiro256pp;
+use radio_graph::{NodeId, Xoshiro256pp};
 use radio_sim::{LocalNode, Protocol};
 
 /// Guess-doubling broadcast for unknown edge probability.
@@ -61,6 +61,17 @@ impl Protocol for EgUnknownDegree {
     fn transmits(&mut self, node: LocalNode, rng: &mut Xoshiro256pp) -> bool {
         let d_hat = self.guess_at(node.round);
         rng.coin(1.0 / d_hat)
+    }
+
+    fn transmits_lanes(
+        &mut self,
+        _id: NodeId,
+        round: u32,
+        lanes: u64,
+        _informed_round: &[u32],
+        rngs: &mut [Xoshiro256pp],
+    ) -> u64 {
+        Xoshiro256pp::lane_coins(rngs, lanes, 1.0 / self.guess_at(round))
     }
 }
 

@@ -165,6 +165,22 @@ impl Protocol for SelectiveBroadcast {
         let idx = ((node.round - 1) as usize) % self.family.len();
         self.family.contains(idx, node.id)
     }
+
+    fn transmits_lanes(
+        &mut self,
+        id: NodeId,
+        round: u32,
+        lanes: u64,
+        _informed_round: &[u32],
+        _rngs: &mut [Xoshiro256pp],
+    ) -> u64 {
+        let idx = ((round - 1) as usize) % self.family.len();
+        if self.family.contains(idx, id) {
+            lanes
+        } else {
+            0
+        }
+    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //!   quadratic-flavored upper bound the paper's introduction contrasts
 //!   against.
 
-use radio_graph::Xoshiro256pp;
+use radio_graph::{NodeId, Xoshiro256pp};
 use radio_sim::{LocalNode, Protocol};
 
 /// Naive flooding: every informed node transmits every round.
@@ -30,6 +30,17 @@ impl Protocol for Flooding {
 
     fn transmits(&mut self, _node: LocalNode, _rng: &mut Xoshiro256pp) -> bool {
         true
+    }
+
+    fn transmits_lanes(
+        &mut self,
+        _id: NodeId,
+        _round: u32,
+        lanes: u64,
+        _informed_round: &[u32],
+        _rngs: &mut [Xoshiro256pp],
+    ) -> u64 {
+        lanes
     }
 }
 
@@ -60,6 +71,17 @@ impl Protocol for ConstantProb {
     fn transmits(&mut self, _node: LocalNode, rng: &mut Xoshiro256pp) -> bool {
         rng.coin(self.q)
     }
+
+    fn transmits_lanes(
+        &mut self,
+        _id: NodeId,
+        _round: u32,
+        lanes: u64,
+        _informed_round: &[u32],
+        rngs: &mut [Xoshiro256pp],
+    ) -> u64 {
+        Xoshiro256pp::lane_coins(rngs, lanes, self.q)
+    }
 }
 
 /// Deterministic round-robin over node ids.
@@ -79,6 +101,21 @@ impl Protocol for RoundRobin {
 
     fn transmits(&mut self, node: LocalNode, _rng: &mut Xoshiro256pp) -> bool {
         (node.round as u64 - 1) % self.n == node.id as u64
+    }
+
+    fn transmits_lanes(
+        &mut self,
+        id: NodeId,
+        round: u32,
+        lanes: u64,
+        _informed_round: &[u32],
+        _rngs: &mut [Xoshiro256pp],
+    ) -> u64 {
+        if (round as u64 - 1) % self.n == id as u64 {
+            lanes
+        } else {
+            0
+        }
     }
 }
 

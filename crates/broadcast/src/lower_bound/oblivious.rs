@@ -19,7 +19,7 @@
 //! Truncating any of these at `c·ln n` rounds for small `c` and measuring
 //! the completion probability is the empirical analogue of the theorem.
 
-use radio_graph::Xoshiro256pp;
+use radio_graph::{NodeId, Xoshiro256pp};
 use radio_sim::{LocalNode, Protocol};
 
 use crate::theory::{non_selective_rounds, seed_round_probability};
@@ -92,6 +92,18 @@ impl Protocol for ProbabilityProfile {
 
     fn transmits(&mut self, node: LocalNode, rng: &mut Xoshiro256pp) -> bool {
         rng.coin(self.prob_at(node.round))
+    }
+
+    fn transmits_lanes(
+        &mut self,
+        _id: NodeId,
+        round: u32,
+        lanes: u64,
+        _informed_round: &[u32],
+        rngs: &mut [Xoshiro256pp],
+    ) -> u64 {
+        // A probability-1 round still draws its coin, like `transmits`.
+        Xoshiro256pp::lane_coins(rngs, lanes, self.prob_at(round))
     }
 }
 

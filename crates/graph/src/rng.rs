@@ -72,7 +72,12 @@ impl SplitMix64 {
 /// 256 bits of state, period `2^256 − 1`, excellent statistical quality, and
 /// a few nanoseconds per output.  Seeded from a single `u64` via SplitMix64
 /// per the authors' recommendation.
+///
+/// The layout is exactly the four state words, so a slice of generators is
+/// one contiguous run of 32-byte states ([`Xoshiro256pp::lane_coins`] loads
+/// eight of them per vector group).
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[repr(transparent)]
 pub struct Xoshiro256pp {
     s: [u64; 4],
 }
@@ -133,6 +138,31 @@ impl Xoshiro256pp {
         self.next_f64() < p
     }
 
+    /// One [`coin`](Xoshiro256pp::coin) per set bit of `lanes`: bit `l` of
+    /// the result is `rngs[l].coin(p)`, drawn from lane `l`'s own stream,
+    /// and the other generators are untouched.  Each lane's stream is
+    /// independent of the others, so drawing them side by side leaves
+    /// every lane exactly where its own one-coin-at-a-time loop would.
+    ///
+    /// With AVX-512F (detected at runtime) every group of eight lanes
+    /// with more than two set bits takes one masked xoshiro256++ step in
+    /// vector registers; the rest run a branchless scalar loop.  `rngs`
+    /// may be longer than 64: only its first 64 generators are reachable.
+    ///
+    /// # Panics
+    ///
+    /// If `lanes` has a bit set at or beyond `rngs.len()`.
+    #[inline]
+    pub fn lane_coins(rngs: &mut [Xoshiro256pp], lanes: u64, p: f64) -> u64 {
+        let t = coin_threshold(p);
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: the target feature was just detected at runtime.
+            return unsafe { lane_coins_avx512(rngs, lanes, t) };
+        }
+        lane_coins_scalar(rngs, lanes, t)
+    }
+
     /// Fills `dest` with pseudo-random bytes (little-endian word stream).
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         fill_bytes_from_u64(|| self.next(), dest)
@@ -151,6 +181,123 @@ impl Xoshiro256pp {
         }
         Xoshiro256pp { s }
     }
+}
+
+/// The integer form of [`Xoshiro256pp::coin`]: `coin(p)` is true exactly
+/// when `next() >> 11 < coin_threshold(p)`.
+///
+/// `next_f64()` is `m·2⁻⁵³` with `m = next() >> 11 < 2⁵³`, exactly: `m`
+/// fits the mantissa and the scale is a power of two.  For an integer `m`,
+/// `m·2⁻⁵³ < p` holds iff `m < ⌈p·2⁵³⌉`, and `p·2⁵³` is exact too (a
+/// power-of-two scale; a finite `p ≥ 2⁹⁷¹` overflows to +∞, still above
+/// every `m`).  The saturating cast sends negative `p`, zero and NaN,
+/// where `coin` is always false, to 0, and +∞ to `u64::MAX`.
+#[inline]
+fn coin_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// [`Xoshiro256pp::lane_coins`] for threshold `t`, one lane at a time.
+#[inline]
+fn lane_coins_scalar(rngs: &mut [Xoshiro256pp], lanes: u64, t: u64) -> u64 {
+    let mut heads = 0u64;
+    let mut rest = lanes;
+    while rest != 0 {
+        let l = rest.trailing_zeros();
+        rest &= rest - 1;
+        heads |= u64::from(rngs[l as usize].next() >> 11 < t) << l;
+    }
+    heads
+}
+
+/// [`Xoshiro256pp::lane_coins`] for threshold `t`, eight lanes per vector
+/// step.  A group of eight generators is 256 contiguous bytes: four loads
+/// hold two lanes' states each, eight two-source permutes transpose them
+/// into one vector per state word, and the masked step and compare leave
+/// the unset lanes' states as they were before the inverse transpose
+/// stores all eight back.  Groups that reach past `rngs.len()`, or have at
+/// most two set lanes, go through [`lane_coins_scalar`], which also panics
+/// on a set bit past the slice.
+///
+/// # Safety
+///
+/// Requires AVX-512F at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn lane_coins_avx512(rngs: &mut [Xoshiro256pp], lanes: u64, t: u64) -> u64 {
+    use std::arch::x86_64::*;
+    let tv = _mm512_set1_epi64(t as i64);
+    // The transpose in two permute stages: `pair_*` turns two vectors of
+    // two lanes' states each (lanes 0,1 and 2,3) into words s0,s1 or s2,s3
+    // of those four lanes, and `half_*` joins two four-lane halves into
+    // one state word of all eight.  The same stages in the opposite order
+    // invert it.
+    let pair_lo = _mm512_setr_epi64(0, 4, 8, 12, 1, 5, 9, 13);
+    let pair_hi = _mm512_setr_epi64(2, 6, 10, 14, 3, 7, 11, 15);
+    let half_lo = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
+    let half_hi = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
+    let full_groups = rngs.len() / 8;
+    let mut heads = 0u64;
+    let mut rest = lanes;
+    while rest != 0 {
+        let g = rest.trailing_zeros() as usize / 8;
+        let group = rest & (0xFF << (8 * g));
+        rest &= !group;
+        if g >= full_groups || group.count_ones() <= 2 {
+            heads |= lane_coins_scalar(rngs, group, t);
+            continue;
+        }
+        let k = (group >> (8 * g)) as __mmask8;
+        // SAFETY: lanes 8g..8g+8 lie inside `rngs` (g < full_groups), and
+        // `repr(transparent)` makes them 32 contiguous u64 state words.
+        let words = rngs.as_mut_ptr().add(8 * g) as *mut u64;
+        let r0 = _mm512_loadu_si512(words as *const _);
+        let r1 = _mm512_loadu_si512(words.add(8) as *const _);
+        let r2 = _mm512_loadu_si512(words.add(16) as *const _);
+        let r3 = _mm512_loadu_si512(words.add(24) as *const _);
+        let a01 = _mm512_permutex2var_epi64(r0, pair_lo, r1);
+        let a23 = _mm512_permutex2var_epi64(r0, pair_hi, r1);
+        let b01 = _mm512_permutex2var_epi64(r2, pair_lo, r3);
+        let b23 = _mm512_permutex2var_epi64(r2, pair_hi, r3);
+        let s0 = _mm512_permutex2var_epi64(a01, half_lo, b01);
+        let s1 = _mm512_permutex2var_epi64(a01, half_hi, b01);
+        let s2 = _mm512_permutex2var_epi64(a23, half_lo, b23);
+        let s3 = _mm512_permutex2var_epi64(a23, half_hi, b23);
+
+        // One xoshiro256++ step, as in `Xoshiro256pp::next`.
+        let out = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(s0, s3)), s0);
+        let shifted = _mm512_slli_epi64::<17>(s1);
+        let x2 = _mm512_xor_si512(s2, s0);
+        let x3 = _mm512_xor_si512(s3, s1);
+        let n1 = _mm512_xor_si512(s1, x2);
+        let n0 = _mm512_xor_si512(s0, x3);
+        let n2 = _mm512_xor_si512(x2, shifted);
+        let n3 = _mm512_rol_epi64::<45>(x3);
+        heads |= u64::from(_mm512_mask_cmplt_epu64_mask(
+            k,
+            _mm512_srli_epi64::<11>(out),
+            tv,
+        )) << (8 * g);
+        let s0 = _mm512_mask_mov_epi64(s0, k, n0);
+        let s1 = _mm512_mask_mov_epi64(s1, k, n1);
+        let s2 = _mm512_mask_mov_epi64(s2, k, n2);
+        let s3 = _mm512_mask_mov_epi64(s3, k, n3);
+
+        let a01 = _mm512_permutex2var_epi64(s0, half_lo, s1);
+        let b01 = _mm512_permutex2var_epi64(s0, half_hi, s1);
+        let a23 = _mm512_permutex2var_epi64(s2, half_lo, s3);
+        let b23 = _mm512_permutex2var_epi64(s2, half_hi, s3);
+        let rows = [
+            _mm512_permutex2var_epi64(a01, pair_lo, a23),
+            _mm512_permutex2var_epi64(a01, pair_hi, a23),
+            _mm512_permutex2var_epi64(b01, pair_lo, b23),
+            _mm512_permutex2var_epi64(b01, pair_hi, b23),
+        ];
+        for (i, row) in rows.into_iter().enumerate() {
+            _mm512_storeu_si512(words.add(8 * i) as *mut _, row);
+        }
+    }
+    heads
 }
 
 /// Derives the seed for the `index`-th independent child stream of a master
@@ -296,6 +443,112 @@ mod tests {
         let mut rng = Xoshiro256pp::new(13);
         assert!(!(0..1000).any(|_| rng.coin(0.0)));
         assert!((0..1000).all(|_| rng.coin(1.0)));
+    }
+
+    /// The definition of [`Xoshiro256pp::lane_coins`]: one `coin(p)` per
+    /// set lane, ascending.
+    fn coin_loop(rngs: &mut [Xoshiro256pp], lanes: u64, p: f64) -> u64 {
+        (0..64)
+            .filter(|&l| lanes >> l & 1 == 1)
+            .fold(0, |heads, l| heads | u64::from(rngs[l].coin(p)) << l)
+    }
+
+    type LaneCoins = fn(&mut [Xoshiro256pp], u64, f64) -> u64;
+
+    /// Every lane-coin path this CPU runs: the public entry point, the
+    /// scalar loop, and the AVX-512 path when the CPU has AVX-512F.
+    fn lane_coin_paths() -> Vec<(&'static str, LaneCoins)> {
+        let mut paths: Vec<(&'static str, LaneCoins)> = vec![
+            ("lane_coins", Xoshiro256pp::lane_coins),
+            ("scalar", |r, l, p| {
+                lane_coins_scalar(r, l, coin_threshold(p))
+            }),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F was just detected.
+            paths.push(("avx512", |r, l, p| unsafe {
+                lane_coins_avx512(r, l, coin_threshold(p))
+            }));
+        }
+        paths
+    }
+
+    #[test]
+    fn lane_coins_match_per_lane_coin_loop() {
+        let paths = lane_coin_paths();
+        let mut mrng = Xoshiro256pp::new(0x1A9E);
+        let mut probs = vec![
+            0.0,
+            1.0,
+            2.0,
+            -0.5,
+            f64::NAN,
+            f64::INFINITY,
+            1e300,
+            1e-18,
+            f64::MIN_POSITIVE / 4.0,
+            1.0 / 69.0,
+        ];
+        probs.extend((1..=20).map(|j| 0.5f64.powi(j)));
+        let one_per_group = 0x8040_2010_0804_0201u64;
+        let two_per_group = one_per_group | 0x0180_4020_1008_0402;
+        for len in (1..=64).chain([65, 100, 1024]) {
+            let fresh: Vec<Xoshiro256pp> = (0..len).map(|l| child_rng(len, l)).collect();
+            let reach = u64::MAX >> (64 - len.min(64));
+            // k·2⁻⁵³ with k the next draw of a lane, and both of its f64
+            // neighbours: the coin flips exactly between the three.
+            let mut ps = probs.clone();
+            for l in [0, len.min(64) / 2, len.min(64) - 1] {
+                let at = (fresh[l as usize].clone().next() >> 11) as f64 / (1u64 << 53) as f64;
+                ps.extend([at.next_down(), at, at.next_up()]);
+            }
+            let masks = [
+                0,
+                reach,
+                1,
+                1 << (len.min(64) - 1),
+                one_per_group & reach,
+                two_per_group & reach,
+                mrng.next() & reach,
+                (mrng.next() | mrng.next()) & reach,
+            ];
+            for mask in masks {
+                for &p in &ps {
+                    let mut want_rngs = fresh.clone();
+                    let want = coin_loop(&mut want_rngs, mask, p);
+                    for &(name, lane_coins) in &paths {
+                        let mut rngs = fresh.clone();
+                        let got = lane_coins(&mut rngs, mask, p);
+                        let ctx = format!("{name}: len {len} mask {mask:#x} p {p:e}");
+                        assert_eq!(got, want, "{ctx}: heads differ");
+                        assert!(rngs == want_rngs, "{ctx}: generator states differ");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_coins_panic_on_a_lane_past_the_slice() {
+        let cases = [
+            (1, 0b10),
+            (8, 1 << 8),
+            (8, 0xFFFF),
+            (12, 1 << 12),
+            (16, u64::MAX),
+            (63, 1 << 63),
+        ];
+        for (name, lane_coins) in lane_coin_paths() {
+            for (len, mask) in cases {
+                let mut rngs: Vec<Xoshiro256pp> = (0..len).map(Xoshiro256pp::new).collect();
+                let run = std::panic::AssertUnwindSafe(|| lane_coins(&mut rngs, mask, 0.5));
+                assert!(
+                    std::panic::catch_unwind(run).is_err(),
+                    "{name}: len {len} mask {mask:#x} did not panic"
+                );
+            }
+        }
     }
 
     #[test]

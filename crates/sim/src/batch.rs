@@ -42,11 +42,7 @@ pub const MAX_LANES: usize = 64;
 #[inline]
 pub(crate) fn lane_mask(lanes: usize) -> u64 {
     debug_assert!((1..=MAX_LANES).contains(&lanes));
-    if lanes == MAX_LANES {
-        u64::MAX
-    } else {
-        (1u64 << lanes) - 1
-    }
+    u64::MAX >> (MAX_LANES - lanes)
 }
 
 /// The set bit positions of `word`, ascending.

@@ -9,8 +9,9 @@
 //!   `B` seeing rounds re-based to 1, so stage protocols compose cleanly);
 //! * [`Named`] — relabel any protocol for experiment tables.
 
-use radio_graph::Xoshiro256pp;
+use radio_graph::{NodeId, Xoshiro256pp};
 
+use crate::batch::MAX_LANES;
 use crate::protocol::{LocalNode, Protocol};
 
 /// Runs `first` for rounds `1..=switch_round`, then `second` (which sees
@@ -65,6 +66,29 @@ impl<A: Protocol, B: Protocol> Protocol for Staged<A, B> {
             self.second.transmits(rebased, rng)
         }
     }
+
+    fn transmits_lanes(
+        &mut self,
+        id: NodeId,
+        round: u32,
+        lanes: u64,
+        informed_round: &[u32],
+        rngs: &mut [Xoshiro256pp],
+    ) -> u64 {
+        if round <= self.switch_round {
+            return self
+                .first
+                .transmits_lanes(id, round, lanes, informed_round, rngs);
+        }
+        // Rebase every lane like `transmits`, keeping the inner fast path.
+        let mut rebased = [0u32; MAX_LANES];
+        let rebased = &mut rebased[..informed_round.len()];
+        for (dst, &src) in rebased.iter_mut().zip(informed_round) {
+            *dst = src.min(round);
+        }
+        let round = round - self.switch_round;
+        self.second.transmits_lanes(id, round, lanes, rebased, rngs)
+    }
 }
 
 /// Relabels a protocol (for experiment tables).
@@ -95,6 +119,18 @@ impl<P: Protocol> Protocol for Named<P> {
 
     fn transmits(&mut self, node: LocalNode, rng: &mut Xoshiro256pp) -> bool {
         self.inner.transmits(node, rng)
+    }
+
+    fn transmits_lanes(
+        &mut self,
+        id: NodeId,
+        round: u32,
+        lanes: u64,
+        informed_round: &[u32],
+        rngs: &mut [Xoshiro256pp],
+    ) -> u64 {
+        self.inner
+            .transmits_lanes(id, round, lanes, informed_round, rngs)
     }
 }
 

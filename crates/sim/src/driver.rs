@@ -214,19 +214,6 @@ pub(crate) trait LaneMerge {
     );
 }
 
-/// Draws one loss coin per set lane of `word` (lane `l` on `rngs[l]`, in
-/// ascending lane order) and returns the lanes that survive.
-#[inline]
-pub(crate) fn loss_coins(word: u64, rngs: &mut [Xoshiro256pp], loss_prob: f64) -> u64 {
-    bits(word).fold(word, |kept, l| {
-        if rngs[l].coin(loss_prob) {
-            kept & !(1u64 << l)
-        } else {
-            kept
-        }
-    })
-}
-
 /// The single-word lane loop behind every `Batch` and `LaneSweep` plan:
 /// `lanes ≤ 64` trials, lane `l` on `child_rng(master_seed, l)`.
 ///
@@ -266,7 +253,7 @@ pub(crate) fn run_lanes<M: LaneMerge, P: Protocol + ?Sized>(
         .map(|l| child_rng(spec.master_seed, l))
         .collect();
     protocol.begin_run(n);
-    let mut session = plan.map(LaneFaultSession::new);
+    let mut session = plan.map(|p| LaneFaultSession::new(p, 1));
     let mut book = LaneBook::new(n, lanes, config.trace_level);
 
     // Per-lane broadcast state, struct-of-words: informed mask per node,
@@ -341,7 +328,7 @@ pub(crate) fn run_lanes<M: LaneMerge, P: Protocol + ?Sized>(
             // skip the loss coin too (the scalar `&&` short circuit).
             let mut delivered = e1 & !session.as_ref().map_or(0, |s| s.burst_words(v)[0]);
             if loss > 0.0 {
-                delivered = loss_coins(delivered, &mut rngs, loss);
+                delivered &= !Xoshiro256pp::lane_coins(&mut rngs, delivered, loss);
             }
             if delivered != 0 {
                 informed[vi] |= delivered;

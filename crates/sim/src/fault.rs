@@ -830,12 +830,8 @@ pub(crate) struct LaneFaultSession<'p> {
 }
 
 impl<'p> LaneFaultSession<'p> {
-    pub(crate) fn new(plan: &'p FaultPlan) -> LaneFaultSession<'p> {
-        Self::new_grouped(plan, 1)
-    }
-
     /// A session tracking `groups × 64` lanes of burst-channel state.
-    pub(crate) fn new_grouped(plan: &'p FaultPlan, groups: usize) -> LaneFaultSession<'p> {
+    pub(crate) fn new(plan: &'p FaultPlan, groups: usize) -> LaneFaultSession<'p> {
         assert!(groups >= 1, "need at least one lane group");
         let mut blocked = BitSet::new(plan.n);
         for v in 0..plan.n {
@@ -855,11 +851,10 @@ impl<'p> LaneFaultSession<'p> {
 
     /// Advances the shared fault state to `round` and steps the burst
     /// channels of every lane in `active` (one mask word per group).
-    /// The node-major, group-major, lane-ascending loop draws each
-    /// lane's coins in ascending node order from its private RNG —
-    /// exactly the scalar draw sequence — and inactive (finished) lanes
-    /// draw nothing, matching their scalar runs having exited the round
-    /// loop.
+    /// Each lane draws one coin per node, in ascending node order, from
+    /// its private RNG — exactly the scalar draw sequence — and inactive
+    /// (finished) lanes draw nothing, matching their scalar runs having
+    /// exited the round loop.
     pub(crate) fn begin_round(
         &mut self,
         round: u32,
@@ -876,21 +871,12 @@ impl<'p> LaneFaultSession<'p> {
         );
         if let Some(b) = self.plan.burst {
             for words in self.burst_bad.chunks_exact_mut(self.groups) {
-                for (g, word) in words.iter_mut().enumerate() {
-                    let mut m = active[g];
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let bit = 1u64 << l;
-                        let rng = &mut rngs[g * 64 + l];
-                        if *word & bit != 0 {
-                            if rng.coin(b.p_good) {
-                                *word &= !bit;
-                            }
-                        } else if rng.coin(b.p_bad) {
-                            *word |= bit;
-                        }
-                    }
+                for ((g, word), &act) in words.iter_mut().enumerate().zip(active) {
+                    // Bad channels heal with `p_good`, good ones fail with `p_bad`.
+                    let rngs = &mut rngs[g * 64..];
+                    let healed = Xoshiro256pp::lane_coins(rngs, *word & act, b.p_good);
+                    let failed = Xoshiro256pp::lane_coins(rngs, !*word & act, b.p_bad);
+                    *word = (*word & !healed) | failed;
                 }
             }
         }
@@ -1163,7 +1149,7 @@ mod tests {
         let mut plan = FaultPlan::new(7);
         plan.set_burst(0.4, 0.3);
         let lanes = 4;
-        let mut lane_session = LaneFaultSession::new(&plan);
+        let mut lane_session = LaneFaultSession::new(&plan, 1);
         let mut rngs: Vec<Xoshiro256pp> =
             (0..lanes).map(|l| radio_graph::child_rng(11, l)).collect();
         // Lane 2 goes inactive after round 2.
@@ -1195,7 +1181,7 @@ mod tests {
         let mut plan = FaultPlan::new(5);
         plan.set_burst(0.4, 0.3);
         let lanes = 70u64; // two groups: 64 full + 6 partial
-        let mut session = LaneFaultSession::new_grouped(&plan, 2);
+        let mut session = LaneFaultSession::new(&plan, 2);
         let mut rngs: Vec<Xoshiro256pp> =
             (0..lanes).map(|l| radio_graph::child_rng(23, l)).collect();
         let active = [u64::MAX, (1u64 << 6) - 1];

@@ -57,7 +57,8 @@ pub trait Protocol {
     /// informed, and `rngs[l]` is lane `l`'s private coin stream.  The
     /// default implementation makes one scalar [`Protocol::transmits`] call
     /// per set lane, in ascending lane order, so every existing protocol
-    /// works unchanged.
+    /// works unchanged; a decision that is one coin of a probability fixed
+    /// for the round is one [`Xoshiro256pp::lane_coins`] call instead.
     ///
     /// Overrides must preserve the bit-identity contract: for each lane,
     /// draw exactly the coins (count, order, and meaning) that the scalar
@@ -71,21 +72,14 @@ pub trait Protocol {
         informed_round: &[u32],
         rngs: &mut [Xoshiro256pp],
     ) -> u64 {
-        let mut word = 0u64;
-        let mut rest = lanes;
-        while rest != 0 {
-            let l = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
+        crate::batch::bits(lanes).fold(0, |word, l| {
             let node = LocalNode {
                 id,
                 informed_round: informed_round[l],
                 round,
             };
-            if self.transmits(node, &mut rngs[l]) {
-                word |= 1 << l;
-            }
-        }
-        word
+            word | u64::from(self.transmits(node, &mut rngs[l])) << l
+        })
     }
 }
 

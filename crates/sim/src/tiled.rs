@@ -43,7 +43,7 @@ use radio_graph::{child_rng, AlignedWords, NodeId, TileLayout, Xoshiro256pp};
 
 use crate::batch::bits;
 use crate::bitset::BitSet;
-use crate::driver::{lane_summaries, loss_coins, LaneBook};
+use crate::driver::{lane_summaries, LaneBook};
 use crate::exec::RunSpec;
 use crate::fault::LaneFaultSession;
 use crate::kernel::KernelUsed;
@@ -118,7 +118,7 @@ pub(crate) fn run_tiled<P: Protocol + ?Sized>(
         .collect();
     protocol.begin_run(n);
 
-    let mut session = plan.map(|p| LaneFaultSession::new_grouped(p, groups));
+    let mut session = plan.map(|p| LaneFaultSession::new(p, groups));
     let mut jam_touch = plan.map(|_| BitSet::new(n));
 
     // Per-lane broadcast state: informed plane (c words per node,
@@ -296,7 +296,8 @@ pub(crate) fn run_tiled<P: Protocol + ?Sized>(
                     };
                     let mut delivered = e1 & !burst;
                     if loss > 0.0 {
-                        delivered = loss_coins(delivered, &mut rngs[w * 64..], loss);
+                        delivered &=
+                            !Xoshiro256pp::lane_coins(&mut rngs[w * 64..], delivered, loss);
                     }
                     let niv = informed[base + w] | delivered;
                     if delivered != 0 {

@@ -85,6 +85,14 @@ for threads in 1 8; do
     -p radio-integration --test kernel_differential
 done
 
+# The lane-coin contract: `Xoshiro256pp::lane_coins` (AVX-512 path when
+# the CPU has it, scalar path always) equals a per-lane `coin` loop, and
+# every stock protocol's `transmits_lanes` equals its scalar `transmits`
+# on the Batch, Tiled and LaneSweep engines, plain, lossy and faulted.
+step "lane decision suite (debug)"
+ctest --offline -q -p radio-graph lane_coins
+ctest --offline -q -p radio-integration --test lane_decisions
+
 # The broadcast-service contract: a partitioned 64-node cluster must heal
 # to coverage 1.0, and the stripped NodeReport must be byte-identical
 # across thread budgets (the service's RADIO_THREADS-independence pin).
@@ -151,6 +159,13 @@ if [ "$fast" -eq 0 ]; then
     RADIO_THREADS="$threads" ctest --release --offline -q \
       -p radio-integration --test kernel_differential
   done
+
+  # The lane-coin primitive and the protocol overrides re-run in release:
+  # the vector path and the threshold compare must stay bit-identical to
+  # the scalar coins under optimization.
+  step "lane decision suite (release)"
+  ctest --release --offline -q -p radio-graph lane_coins
+  ctest --release --offline -q -p radio-integration --test lane_decisions
 
   # The experiment registry: the driver must list all experiments, and the
   # smoke suite runs every registered experiment at a tiny grid and checks
