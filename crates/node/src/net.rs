@@ -212,7 +212,7 @@ impl SimNet {
     /// Steps the per-receiver burst channels for `tick`.  Call exactly
     /// once per tick, before [`SimNet::deliver_due`]; draws are in
     /// ascending node-id order (and nothing is drawn without a burst
-    /// plan), mirroring `FaultSession::begin_round`.
+    /// plan), mirroring one lane of `radio_sim::FaultSession::begin_round`.
     pub fn begin_tick(&mut self, _tick: u64) {
         if let Some(b) = self.plan.burst() {
             for bad in self.burst_bad.iter_mut() {

@@ -6,7 +6,8 @@
 //! experiments can assemble protocol variants without writing new types:
 //!
 //! * [`Staged`] — protocol `A` for the first `T` rounds, then `B` (with
-//!   `B` seeing rounds re-based to 1, so stage protocols compose cleanly);
+//!   `B` seeing rounds and informed rounds re-based by `T`, so stage
+//!   protocols compose cleanly);
 //! * [`Named`] — relabel any protocol for experiment tables.
 
 use radio_graph::{NodeId, Xoshiro256pp};
@@ -15,7 +16,8 @@ use crate::batch::MAX_LANES;
 use crate::protocol::{LocalNode, Protocol};
 
 /// Runs `first` for rounds `1..=switch_round`, then `second` (which sees
-/// round numbers starting again from 1).
+/// round numbers starting again from 1, and nodes informed before the
+/// switch as informed in round 0).
 #[derive(Debug, Clone)]
 pub struct Staged<A, B> {
     first: A,
@@ -60,7 +62,7 @@ impl<A: Protocol, B: Protocol> Protocol for Staged<A, B> {
         } else {
             let rebased = LocalNode {
                 id: node.id,
-                informed_round: node.informed_round.min(node.round),
+                informed_round: node.informed_round.saturating_sub(self.switch_round),
                 round: node.round - self.switch_round,
             };
             self.second.transmits(rebased, rng)
@@ -84,7 +86,7 @@ impl<A: Protocol, B: Protocol> Protocol for Staged<A, B> {
         let mut rebased = [0u32; MAX_LANES];
         let rebased = &mut rebased[..informed_round.len()];
         for (dst, &src) in rebased.iter_mut().zip(informed_round) {
-            *dst = src.min(round);
+            *dst = src.saturating_sub(self.switch_round);
         }
         let round = round - self.switch_round;
         self.second.transmits_lanes(id, round, lanes, rebased, rngs)
@@ -203,6 +205,39 @@ mod tests {
         assert!(r.completed);
         // 2 silent rounds + 5 flood rounds.
         assert_eq!(r.rounds, 7);
+    }
+
+    #[test]
+    fn staged_second_stage_sees_rebased_informed_rounds() {
+        // Stage-2 clocks are stage-local: every informed node was informed
+        // strictly before the current stage-local round.
+        struct AssertInformedBefore;
+        impl Protocol for AssertInformedBefore {
+            fn name(&self) -> String {
+                "probe".into()
+            }
+            fn transmits(&mut self, n: LocalNode, _r: &mut Xoshiro256pp) -> bool {
+                assert!(
+                    n.informed_round < n.round,
+                    "informed round {} not below stage-local round {}",
+                    n.informed_round,
+                    n.round
+                );
+                true
+            }
+        }
+        let g = Graph::path(8);
+        let mut proto = Staged::new(Always, 3, AssertInformedBefore);
+        let r = run(&g, &mut proto, RunConfig::for_graph(8), 4);
+        assert!(r.completed);
+        assert_eq!(r.rounds, 7);
+        // The lane path rebases each lane the same way.
+        let lanes = RunSpec::on_graph(&g, 0)
+            .with_config(RunConfig::for_graph(8))
+            .with_lanes(4)
+            .run(&mut proto)
+            .lanes;
+        assert!(lanes.iter().all(|l| l.completed && l.rounds == 7));
     }
 
     #[test]

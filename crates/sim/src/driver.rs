@@ -6,7 +6,9 @@
 //! ascending id.  That order is written out once per lane width:
 //!
 //! * [`run_scalar`] runs every `lanes = 1` plan on a [`ScalarRound`]
-//!   executor, either [`RoundEngine`] or [`SweepEngine`];
+//!   executor, either [`RoundEngine`] or
+//!   [`SweepEngine`](crate::sweep::SweepEngine), with a one-lane
+//!   [`FaultSession`];
 //! * [`run_lanes`] runs every single-word lane plan (`Batch` and
 //!   `LaneSweep`).  It owns the lane RNGs, the fault session, the
 //!   decisions, jammer injection and the exactly-one resolution.  A
@@ -23,84 +25,47 @@ use radio_graph::{child_rng, Graph, GraphProvider, NodeId, Xoshiro256pp};
 use crate::batch::{bits, lane_mask, MAX_LANES};
 use crate::engine::{RoundEngine, RoundOutcome};
 use crate::exec::RunSpec;
-use crate::fault::{FaultEvent, FaultPlan, FaultSession, FaultSummary, LaneFaultSession, LiveView};
+use crate::fault::{FaultEvent, FaultPlan, FaultSession, FaultSummary, LiveView};
 use crate::kernel::KernelUsed;
 use crate::observer::{RoundEvent, RunObserver};
 use crate::protocol::{LocalNode, Protocol};
 use crate::state::{BroadcastState, NOT_INFORMED};
-use crate::sweep::SweepEngine;
 use crate::trace::{RoundRecord, RunResult, TraceBuilder, TraceLevel};
 
-/// A scalar round executor: the method set [`RoundEngine`] and
-/// [`SweepEngine`] share (see their inherent methods for the semantics).
+/// A scalar round executor: [`RoundEngine`] or
+/// [`SweepEngine`](crate::sweep::SweepEngine).
 pub(crate) trait ScalarRound {
-    fn execute_round(
-        &mut self,
-        state: &mut BroadcastState,
-        tx: &[NodeId],
-        round: u32,
-    ) -> RoundOutcome;
-    fn execute_round_lossy(
-        &mut self,
-        state: &mut BroadcastState,
-        tx: &[NodeId],
-        round: u32,
-        loss_prob: f64,
-        rng: &mut Xoshiro256pp,
-    ) -> RoundOutcome;
+    /// Executes one round under `faults` (if any) with i.i.d. loss
+    /// `loss_prob`, drawing the burst-veto-then-loss coins of
+    /// [`RoundEngine::execute_round_faulty`] from `rng`.
     fn execute_round_faulty(
         &mut self,
         state: &mut BroadcastState,
         tx: &[NodeId],
         round: u32,
-        session: &FaultSession<'_>,
+        faults: Option<&FaultSession<'_>>,
         loss_prob: f64,
         rng: &mut Xoshiro256pp,
     ) -> RoundOutcome;
     fn kernel_used(&self) -> KernelUsed;
 }
 
-/// Forwards [`ScalarRound`] to the engines' identically named inherent
-/// methods.
-macro_rules! scalar_round {
-    ($($engine:ident),+) => {$(
-        impl ScalarRound for $engine<'_> {
-            fn execute_round(
-                &mut self,
-                state: &mut BroadcastState,
-                tx: &[NodeId],
-                round: u32,
-            ) -> RoundOutcome {
-                $engine::execute_round(self, state, tx, round)
-            }
-            fn execute_round_lossy(
-                &mut self,
-                state: &mut BroadcastState,
-                tx: &[NodeId],
-                round: u32,
-                loss_prob: f64,
-                rng: &mut Xoshiro256pp,
-            ) -> RoundOutcome {
-                $engine::execute_round_lossy(self, state, tx, round, loss_prob, rng)
-            }
-            fn execute_round_faulty(
-                &mut self,
-                state: &mut BroadcastState,
-                tx: &[NodeId],
-                round: u32,
-                session: &FaultSession<'_>,
-                loss_prob: f64,
-                rng: &mut Xoshiro256pp,
-            ) -> RoundOutcome {
-                $engine::execute_round_faulty(self, state, tx, round, session, loss_prob, rng)
-            }
-            fn kernel_used(&self) -> KernelUsed {
-                $engine::kernel_used(self)
-            }
-        }
-    )+};
+impl ScalarRound for RoundEngine<'_> {
+    fn execute_round_faulty(
+        &mut self,
+        state: &mut BroadcastState,
+        tx: &[NodeId],
+        round: u32,
+        faults: Option<&FaultSession<'_>>,
+        loss_prob: f64,
+        rng: &mut Xoshiro256pp,
+    ) -> RoundOutcome {
+        RoundEngine::execute_round_faulty(self, state, tx, round, faults, loss_prob, rng)
+    }
+    fn kernel_used(&self) -> KernelUsed {
+        RoundEngine::kernel_used(self)
+    }
 }
-scalar_round!(RoundEngine, SweepEngine);
 
 /// Runs `f` on explicit adjacency: the provider's own, or one
 /// materialized copy for purely implicit backends (fault summaries need
@@ -128,7 +93,7 @@ pub(crate) fn run_scalar<E: ScalarRound, P: Protocol + ?Sized, O: RunObserver>(
     let mut state = spec.start_state(n);
     let mut session = spec.fault_plan.map(|plan| {
         assert_eq!(plan.n(), n, "fault plan size mismatch");
-        FaultSession::new(plan)
+        FaultSession::new(plan, 1)
     });
     let mut tb = TraceBuilder::new(config.trace_level);
     protocol.begin_run(n);
@@ -141,7 +106,7 @@ pub(crate) fn run_scalar<E: ScalarRound, P: Protocol + ?Sized, O: RunObserver>(
         round += 1;
         // Faults fire (and burst channels step) before any decision coin.
         if let Some(s) = session.as_mut() {
-            let fired = s.begin_round(round, rng);
+            let fired = s.begin_round(round, &[1], std::slice::from_mut(rng));
             fired.iter().for_each(|ev| observer.on_fault(ev));
             fault_events.extend_from_slice(fired);
         }
@@ -162,12 +127,14 @@ pub(crate) fn run_scalar<E: ScalarRound, P: Protocol + ?Sized, O: RunObserver>(
             }
         }
         let started = observer.wants_timing().then(Instant::now);
-        let (tx, loss) = (&transmitters, config.loss_prob);
-        let outcome = match &session {
-            Some(s) => engine.execute_round_faulty(&mut state, tx, round, s, loss, rng),
-            None if loss > 0.0 => engine.execute_round_lossy(&mut state, tx, round, loss, rng),
-            None => engine.execute_round(&mut state, tx, round),
-        };
+        let outcome = engine.execute_round_faulty(
+            &mut state,
+            &transmitters,
+            round,
+            session.as_ref(),
+            config.loss_prob,
+            rng,
+        );
         let elapsed_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
         tb.record(round, &outcome, state.informed_count());
         observer.on_round(&RoundEvent::from_outcome(
@@ -253,7 +220,7 @@ pub(crate) fn run_lanes<M: LaneMerge, P: Protocol + ?Sized>(
         .map(|l| child_rng(spec.master_seed, l))
         .collect();
     protocol.begin_run(n);
-    let mut session = plan.map(|p| LaneFaultSession::new(p, 1));
+    let mut session = plan.map(|p| FaultSession::new(p, 1));
     let mut book = LaneBook::new(n, lanes, config.trace_level);
 
     // Per-lane broadcast state, struct-of-words: informed mask per node,
@@ -317,7 +284,7 @@ pub(crate) fn run_lanes<M: LaneMerge, P: Protocol + ?Sized>(
             // lanes have nothing to learn.  Blocked (crashed/asleep) nodes
             // count toward neither reach nor collisions.
             let reached = ge1 & !t[vi] & !informed[vi];
-            if reached == 0 || session.as_ref().is_some_and(|s| s.blocked_node(v)) {
+            if reached == 0 || session.as_ref().is_some_and(|s| s.blocked().get(vi)) {
                 return;
             }
             // At a jammed node every exactly-one lane is a jam-only hit: a
@@ -326,7 +293,7 @@ pub(crate) fn run_lanes<M: LaneMerge, P: Protocol + ?Sized>(
             book.reach(0, reached, reached & !e1);
             // The burst veto consumes no coin, and lost-to-burst lanes
             // skip the loss coin too (the scalar `&&` short circuit).
-            let mut delivered = e1 & !session.as_ref().map_or(0, |s| s.burst_words(v)[0]);
+            let mut delivered = e1 & !session.as_ref().map_or(0, |s| s.burst_word(v, 0));
             if loss > 0.0 {
                 delivered &= !Xoshiro256pp::lane_coins(&mut rngs, delivered, loss);
             }

@@ -62,9 +62,6 @@ pub struct RoundEngine<'g> {
     hits: Vec<u32>,
     /// Scratch: nodes whose `hits` entry is dirty.
     touched: Vec<NodeId>,
-    /// Scratch: nodes in range of at least one jammer this round (faulty
-    /// rounds only; always zeroed between rounds).
-    jam_hit: BitSet,
     /// Scratch: transmitter membership (word-packed; the dense kernel masks
     /// receptions with its raw words).
     is_transmitter: BitSet,
@@ -92,7 +89,6 @@ impl<'g> RoundEngine<'g> {
             graph,
             hits: vec![0; graph.n()],
             touched: Vec::new(),
-            jam_hit: BitSet::new(graph.n()),
             is_transmitter: BitSet::new(graph.n()),
             active: Vec::new(),
             policy,
@@ -189,49 +185,31 @@ impl<'g> RoundEngine<'g> {
         transmitters: &[NodeId],
         round: u32,
     ) -> RoundOutcome {
-        self.execute_round_with(state, transmitters, round, |_| true, false)
+        self.execute_with(state, transmitters, round, None, false, |_| true)
     }
 
-    /// Like [`RoundEngine::execute_round`], but each otherwise-successful
-    /// reception is independently *lost* with probability `loss_prob`
-    /// (fault-injection model: fading/noise on top of collisions).
-    ///
-    /// Lost receptions are counted in [`RoundOutcome::reached`] but not in
-    /// `newly_informed` or `collisions`.  The RNG is consulted once per
-    /// exactly-one reception in ascending node-id order regardless of the
-    /// kernel, so lossy runs replay identically across kernels.
-    pub fn execute_round_lossy(
-        &mut self,
-        state: &mut BroadcastState,
-        transmitters: &[NodeId],
-        round: u32,
-        loss_prob: f64,
-        rng: &mut radio_graph::Xoshiro256pp,
-    ) -> RoundOutcome {
-        assert!(
-            (0.0..=1.0).contains(&loss_prob),
-            "loss_prob must be within [0, 1], got {loss_prob}"
-        );
-        self.execute_round_with(state, transmitters, round, |_| !rng.coin(loss_prob), true)
-    }
-
-    /// Executes one round under a fault session (see [`crate::fault`]):
+    /// Like [`RoundEngine::execute_round`], under a fault session (see
+    /// [`crate::fault`]) and i.i.d. reception loss.  With `faults`,
     /// blocked (crashed/asleep) nodes neither transmit nor receive, muted
-    /// transmitters are dropped, the session's jammers transmit noise over
-    /// their whole neighborhood, and receptions at burst-bad nodes are
-    /// lost.  `loss_prob` layers the i.i.d. loss model on top.
+    /// transmitters are dropped, the session's jammers transmit noise
+    /// over their whole neighborhood, and receptions at nodes whose burst
+    /// channel is bad (lane 0 of the session) are lost.  On top of that,
+    /// each otherwise-successful reception is lost with probability
+    /// `loss_prob`.  Lost receptions count in [`RoundOutcome::reached`]
+    /// but not in `newly_informed` or `collisions`.
     ///
     /// The caller must have advanced the session to `round` with
-    /// [`FaultSession::begin_round`] first.  RNG discipline matches the
-    /// lossy path: the loss coin is drawn once per exactly-one reception at
-    /// a non-jammed, non-burst-bad listener, in ascending node-id order, so
-    /// faulty runs replay identically across kernels.
+    /// [`FaultSession::begin_round`] first.  The burst veto draws no coin;
+    /// the loss coin (none at `loss_prob = 0`) is drawn once per
+    /// exactly-one reception at a non-jammed, non-burst-bad listener, in
+    /// ascending node-id order, so lossy and faulty runs replay
+    /// identically across kernels.
     pub fn execute_round_faulty(
         &mut self,
         state: &mut BroadcastState,
         transmitters: &[NodeId],
         round: u32,
-        session: &FaultSession<'_>,
+        faults: Option<&FaultSession<'_>>,
         loss_prob: f64,
         rng: &mut radio_graph::Xoshiro256pp,
     ) -> RoundOutcome {
@@ -239,9 +217,33 @@ impl<'g> RoundEngine<'g> {
             (0.0..=1.0).contains(&loss_prob),
             "loss_prob must be within [0, 1], got {loss_prob}"
         );
+        let canonical_order = faults.is_some() || loss_prob > 0.0;
+        self.execute_with(state, transmitters, round, faults, canonical_order, |w| {
+            faults.is_none_or(|s| s.burst_word(w, 0) & 1 == 0)
+                && (loss_prob <= 0.0 || !rng.coin(loss_prob))
+        })
+    }
+
+    /// Core round logic; `deliver` is consulted once per would-be-successful
+    /// reception and may veto it (fault injection).
+    ///
+    /// When `deliver` is stateful (`canonical_order`), receptions are
+    /// resolved in ascending node-id order — the dense kernel's natural
+    /// order — keeping the two kernels' RNG draw sequences identical.
+    fn execute_with(
+        &mut self,
+        state: &mut BroadcastState,
+        transmitters: &[NodeId],
+        round: u32,
+        faults: Option<&FaultSession<'_>>,
+        canonical_order: bool,
+        mut deliver: impl FnMut(NodeId) -> bool,
+    ) -> RoundOutcome {
         debug_assert_eq!(state.n(), self.graph.n());
-        let mut active = std::mem::take(&mut self.active);
-        active.clear();
+
+        // Build the effective transmitter set into the reused scratch list
+        // and its bit mask.
+        self.active.clear();
         for &t in transmitters {
             if self.is_transmitter.get(t as usize) {
                 continue; // duplicate
@@ -249,14 +251,14 @@ impl<'g> RoundEngine<'g> {
             if self.policy == TransmitterPolicy::InformedOnly && !state.is_informed(t) {
                 continue;
             }
-            if session.mute(t) {
+            if faults.is_some_and(|s| s.mute(t)) {
                 continue;
             }
             self.is_transmitter.set(t as usize);
-            active.push(t);
+            self.active.push(t);
         }
         // Jammers occupy the channel too: they cannot receive this round.
-        let jammers = session.jammers();
+        let jammers = faults.map_or(&[][..], |s| s.jammers());
         for &j in jammers {
             self.is_transmitter.set(j as usize);
         }
@@ -269,145 +271,77 @@ impl<'g> RoundEngine<'g> {
             EngineKernel::Dense | EngineKernel::Tiled => self.dense.ensure_ready(self.graph),
             EngineKernel::Auto => {
                 let words = self.graph.n().div_ceil(64) as u64;
-                let sum_deg: u64 = active
-                    .iter()
-                    .chain(jammers)
+                let sum_deg: u64 = (self.active.iter().chain(jammers))
                     .map(|&t| self.graph.degree(t) as u64)
                     .sum();
-                dense_is_cheaper(sum_deg, (active.len() + jammers.len()) as u64, words)
+                let senders = (self.active.len() + jammers.len()) as u64;
+                dense_is_cheaper(sum_deg, senders, words)
                     && self.dense.fits_cap(self.graph)
                     && self.dense.ensure_ready(self.graph)
             }
         };
 
-        // Burst veto first, without a coin: the loss coin is only drawn for
-        // receptions the burst channel lets through (the lane-batched
-        // kernel replays exactly this order).
-        let mut deliver =
-            |w: NodeId| !session.burst_bad(w) && (loss_prob <= 0.0 || !rng.coin(loss_prob));
-
+        let blocked = faults.map(|s| s.blocked());
         let outcome = if use_dense {
             if self.kernel == EngineKernel::Tiled {
                 self.tiled_rounds += 1;
             } else {
                 self.dense_rounds += 1;
             }
-            self.dense.execute_faulty(
+            self.dense.execute(
                 state,
-                &active,
+                &self.active,
                 jammers,
                 &self.is_transmitter,
-                session.blocked(),
+                blocked,
                 round,
                 deliver,
             )
         } else {
             self.sparse_rounds += 1;
-            self.execute_sparse_faulty(
+            self.execute_sparse(
                 state,
-                &active,
                 jammers,
-                session.blocked(),
+                blocked,
                 round,
                 &mut deliver,
+                canonical_order,
             )
         };
 
-        for &t in active.iter().chain(jammers) {
+        // Reset the transmitter mask; the list stays for reuse.
+        for &t in self.active.iter().chain(jammers) {
             self.is_transmitter.unset(t as usize);
         }
-        self.active = active;
         outcome
     }
 
-    /// Core round logic; `deliver` is consulted once per would-be-successful
-    /// reception and may veto it (fault injection).
-    ///
-    /// When `deliver` is stateful (`canonical_order`), receptions are
-    /// resolved in ascending node-id order — the dense kernel's natural
-    /// order — keeping the two kernels' RNG draw sequences identical.
-    fn execute_round_with(
-        &mut self,
-        state: &mut BroadcastState,
-        transmitters: &[NodeId],
-        round: u32,
-        mut deliver: impl FnMut(NodeId) -> bool,
-        canonical_order: bool,
-    ) -> RoundOutcome {
-        debug_assert_eq!(state.n(), self.graph.n());
-
-        // Build the effective transmitter set into the reused scratch list
-        // and its bit mask.
-        let mut active = std::mem::take(&mut self.active);
-        active.clear();
-        for &t in transmitters {
-            if self.is_transmitter.get(t as usize) {
-                continue; // duplicate
-            }
-            if self.policy == TransmitterPolicy::InformedOnly && !state.is_informed(t) {
-                continue;
-            }
-            self.is_transmitter.set(t as usize);
-            active.push(t);
-        }
-
-        let use_dense = match self.kernel {
-            EngineKernel::Sparse => false,
-            // See `execute_round_faulty`: `Tiled` runs the dense path
-            // on this scalar engine, counted separately.
-            EngineKernel::Dense | EngineKernel::Tiled => self.dense.ensure_ready(self.graph),
-            EngineKernel::Auto => {
-                let words = self.graph.n().div_ceil(64) as u64;
-                let sum_deg: u64 = active.iter().map(|&t| self.graph.degree(t) as u64).sum();
-                dense_is_cheaper(sum_deg, active.len() as u64, words)
-                    && self.dense.fits_cap(self.graph)
-                    && self.dense.ensure_ready(self.graph)
-            }
-        };
-
-        let outcome = if use_dense {
-            if self.kernel == EngineKernel::Tiled {
-                self.tiled_rounds += 1;
-            } else {
-                self.dense_rounds += 1;
-            }
-            self.dense
-                .execute(state, &active, &self.is_transmitter, round, deliver)
-        } else {
-            self.sparse_rounds += 1;
-            self.execute_sparse(state, &active, round, &mut deliver, canonical_order)
-        };
-
-        // Reset the transmitter mask and hand the list back for reuse.
-        for &t in &active {
-            self.is_transmitter.unset(t as usize);
-        }
-        self.active = active;
-        outcome
-    }
-
-    /// The CSR-walking kernel: count transmitting neighbors per reached
-    /// node, then resolve exactly-one receptions.
+    /// The CSR-walking kernel: count transmitting neighbors of every node
+    /// the effective transmitters reach, then resolve exactly-one
+    /// receptions.  A jammer's noise counts as two hits, so a node it
+    /// reaches hears a collision, never a delivery; `blocked` nodes
+    /// (crashed/asleep) cannot receive.
     fn execute_sparse(
         &mut self,
         state: &mut BroadcastState,
-        active: &[NodeId],
+        jammers: &[NodeId],
+        blocked: Option<&BitSet>,
         round: u32,
         deliver: &mut impl FnMut(NodeId) -> bool,
         canonical_order: bool,
     ) -> RoundOutcome {
         let mut outcome = RoundOutcome {
-            transmitters: active.len(),
+            transmitters: self.active.len() + jammers.len(),
             ..RoundOutcome::default()
         };
 
-        // Count transmitting neighbors of every reached node.
-        for &t in active {
+        let senders = self.active.iter().map(|&t| (t, 1));
+        for (t, noise) in senders.chain(jammers.iter().map(|&j| (j, 2))) {
             for &w in self.graph.neighbors(t) {
                 if self.hits[w as usize] == 0 {
                     self.touched.push(w);
                 }
-                self.hits[w as usize] += 1;
+                self.hits[w as usize] += noise;
             }
         }
 
@@ -423,7 +357,10 @@ impl<'g> RoundEngine<'g> {
             let w = self.touched[i];
             let h = self.hits[w as usize];
             if self.is_transmitter.get(w as usize) {
-                continue; // transmitting, not listening
+                continue; // transmitting (or jamming), not listening
+            }
+            if blocked.is_some_and(|b| b.get(w as usize)) {
+                continue; // crashed or asleep: deaf
             }
             if !state.is_informed(w) {
                 outcome.reached += 1;
@@ -441,74 +378,6 @@ impl<'g> RoundEngine<'g> {
         // Reset scratch.
         for &w in &self.touched {
             self.hits[w as usize] = 0;
-        }
-        self.touched.clear();
-        outcome
-    }
-
-    /// The sparse kernel under faults: jammer noise counts as extra hits
-    /// (and marks `jam_hit`, so a lone jammer hit is a collision, not a
-    /// delivery), and blocked nodes cannot receive.  Receptions are always
-    /// resolved in ascending node-id order — `deliver` is stateful here.
-    fn execute_sparse_faulty(
-        &mut self,
-        state: &mut BroadcastState,
-        active: &[NodeId],
-        jammers: &[NodeId],
-        blocked: &BitSet,
-        round: u32,
-        deliver: &mut impl FnMut(NodeId) -> bool,
-    ) -> RoundOutcome {
-        let mut outcome = RoundOutcome {
-            transmitters: active.len() + jammers.len(),
-            ..RoundOutcome::default()
-        };
-
-        for &t in active {
-            for &w in self.graph.neighbors(t) {
-                if self.hits[w as usize] == 0 {
-                    self.touched.push(w);
-                }
-                self.hits[w as usize] += 1;
-            }
-        }
-        for &j in jammers {
-            for &w in self.graph.neighbors(j) {
-                if self.hits[w as usize] == 0 {
-                    self.touched.push(w);
-                }
-                self.hits[w as usize] += 1;
-                self.jam_hit.set(w as usize);
-            }
-        }
-
-        self.touched.sort_unstable();
-
-        for i in 0..self.touched.len() {
-            let w = self.touched[i];
-            let h = self.hits[w as usize];
-            if self.is_transmitter.get(w as usize) {
-                continue; // transmitting (or jamming), not listening
-            }
-            if blocked.get(w as usize) {
-                continue; // crashed or asleep: deaf
-            }
-            if !state.is_informed(w) {
-                outcome.reached += 1;
-                if h == 1 && !self.jam_hit.get(w as usize) {
-                    if deliver(w) {
-                        state.inform(w, round);
-                        outcome.newly_informed += 1;
-                    }
-                } else {
-                    outcome.collisions += 1;
-                }
-            }
-        }
-
-        for &w in &self.touched {
-            self.hits[w as usize] = 0;
-            self.jam_hit.unset(w as usize);
         }
         self.touched.clear();
         outcome
@@ -629,11 +498,11 @@ mod tests {
         // loss 0 behaves like the exact engine.
         let mut st = BroadcastState::new(5, 0);
         let mut eng = RoundEngine::new(&g);
-        let out = eng.execute_round_lossy(&mut st, &[0], 1, 0.0, &mut rng);
+        let out = eng.execute_round_faulty(&mut st, &[0], 1, None, 0.0, &mut rng);
         assert_eq!(out.newly_informed, 4);
         // loss 1 delivers nothing but still reports reach.
         let mut st = BroadcastState::new(5, 0);
-        let out = eng.execute_round_lossy(&mut st, &[0], 1, 1.0, &mut rng);
+        let out = eng.execute_round_faulty(&mut st, &[0], 1, None, 1.0, &mut rng);
         assert_eq!(out.newly_informed, 0);
         assert_eq!(out.reached, 4);
         assert_eq!(st.informed_count(), 1);
@@ -647,7 +516,7 @@ mod tests {
         let mut rng = Xoshiro256pp::new(2);
         let mut st = BroadcastState::new(n, 0);
         let mut eng = RoundEngine::new(&g);
-        let out = eng.execute_round_lossy(&mut st, &[0], 1, 0.3, &mut rng);
+        let out = eng.execute_round_faulty(&mut st, &[0], 1, None, 0.3, &mut rng);
         let rate = out.newly_informed as f64 / (n - 1) as f64;
         assert!((rate - 0.7).abs() < 0.05, "delivery rate {rate}");
     }
@@ -684,7 +553,9 @@ mod tests {
             }
             states.push(st);
         }
-        assert_eq!(states[0], states[1]);
+        for (i, st) in states.iter().enumerate() {
+            assert_eq!(*st, states[0], "kernel {i} vs sparse");
+        }
     }
 
     #[test]
@@ -707,13 +578,15 @@ mod tests {
                     .into_iter()
                     .filter(|_| sched_rng.coin(0.3))
                     .collect();
-                eng.execute_round_lossy(&mut st, &tx, round, 0.35, &mut loss_rng);
+                eng.execute_round_faulty(&mut st, &tx, round, None, 0.35, &mut loss_rng);
             }
             // Same informed sets AND same residual RNG stream: the loss
             // coin was flipped for the same nodes in the same order.
             finals.push((st, loss_rng.next()));
         }
-        assert_eq!(finals[0], finals[1]);
+        for (i, f) in finals.iter().enumerate() {
+            assert_eq!(*f, finals[0], "kernel {i} vs sparse");
+        }
     }
 
     #[test]
@@ -725,7 +598,7 @@ mod tests {
         let mut eng = RoundEngine::new(&g);
         let mut rng = Xoshiro256pp::new(1);
         // Hard assert, not debug_assert: must also fire with -O.
-        let _ = eng.execute_round_lossy(&mut st, &[0], 1, 1.5, &mut rng);
+        let _ = eng.execute_round_faulty(&mut st, &[0], 1, None, 1.5, &mut rng);
     }
 
     #[test]
@@ -750,25 +623,27 @@ mod tests {
             let mut st = BroadcastState::new(256, 0);
             let mut rng = Xoshiro256pp::new(7);
             let mut sched_rng = Xoshiro256pp::new(8);
-            let mut session = FaultSession::new(&plan);
+            let mut session = FaultSession::new(&plan, 1);
             let mut outcomes = Vec::new();
             for round in 1..=30 {
-                session.begin_round(round, &mut rng);
+                session.begin_round(round, &[1], std::slice::from_mut(&mut rng));
                 let tx: Vec<NodeId> = st
                     .informed_vec()
                     .into_iter()
                     .filter(|&v| !session.mute(v))
                     .filter(|_| sched_rng.coin(0.3))
                     .collect();
-                outcomes
-                    .push(eng.execute_round_faulty(&mut st, &tx, round, &session, 0.2, &mut rng));
+                let faults = Some(&session);
+                outcomes.push(eng.execute_round_faulty(&mut st, &tx, round, faults, 0.2, &mut rng));
             }
             // Same informed sets, same per-round outcome counters, AND the
             // same residual RNG stream: burst and loss coins were drawn
             // for the same nodes in the same order.
             finals.push((st, outcomes, rng.next()));
         }
-        assert_eq!(finals[0], finals[1]);
+        for (i, f) in finals.iter().enumerate() {
+            assert_eq!(*f, finals[0], "kernel {i} vs sparse");
+        }
     }
 
     #[test]
@@ -791,10 +666,10 @@ mod tests {
             let mut eng = RoundEngine::new(&g).with_kernel(kernel);
             let mut st = BroadcastState::new(6, 0);
             let mut rng = Xoshiro256pp::new(1);
-            let mut session = FaultSession::new(&plan);
-            session.begin_round(1, &mut rng);
+            let mut session = FaultSession::new(&plan, 1);
+            session.begin_round(1, &[1], std::slice::from_mut(&mut rng));
             assert_eq!(session.jammers(), &[1]);
-            let out = eng.execute_round_faulty(&mut st, &[0], 1, &session, 0.0, &mut rng);
+            let out = eng.execute_round_faulty(&mut st, &[0], 1, Some(&session), 0.0, &mut rng);
             // Transmitter count includes the jammer.
             assert_eq!(out.transmitters, 2, "{kernel:?}");
             // Leaves 4 and 5 delivered; 2 (crashed) and 3 (asleep) deaf;
@@ -805,12 +680,50 @@ mod tests {
 
             // Round 2: node 4 transmits; the center hears 4 + jam noise →
             // collision, no delivery anywhere.
-            session.begin_round(2, &mut rng);
+            session.begin_round(2, &[1], std::slice::from_mut(&mut rng));
             let mut st2 = BroadcastState::new(6, 4);
-            let out2 = eng.execute_round_faulty(&mut st2, &[4], 2, &session, 0.0, &mut rng);
+            let out2 = eng.execute_round_faulty(&mut st2, &[4], 2, Some(&session), 0.0, &mut rng);
             assert_eq!(out2.newly_informed, 0, "{kernel:?}");
             assert_eq!(out2.collisions, 1, "{kernel:?}");
             assert_eq!(out2.reached, 1, "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn burst_veto_reads_lane_zero_only() {
+        use crate::driver::ScalarRound;
+        use crate::fault::{FaultPlan, FaultSession};
+        use crate::sweep::SweepEngine;
+        use radio_graph::Xoshiro256pp;
+        // Every channel of a stepped lane goes bad at once.  With only
+        // lane 1 stepped, lane 0 — the scalar engines' lane — stays good
+        // and the center reaches all three leaves; with lane 0 stepped,
+        // every reception is lost.
+        let g = Graph::star(4);
+        let mut plan = FaultPlan::new(4);
+        plan.set_burst(1.0, 0.0);
+        for (active, delivered) in [(0b10u64, 3), (0b01, 0)] {
+            let mut session = FaultSession::new(&plan, 1);
+            let mut rngs: Vec<Xoshiro256pp> = (0..64).map(Xoshiro256pp::new).collect();
+            session.begin_round(1, &[active], &mut rngs);
+            let mut rng = Xoshiro256pp::new(2);
+            for kernel in [
+                EngineKernel::Sparse,
+                EngineKernel::Dense,
+                EngineKernel::Tiled,
+            ] {
+                let mut eng = RoundEngine::new(&g).with_kernel(kernel);
+                let mut st = BroadcastState::new(4, 0);
+                let out = eng.execute_round_faulty(&mut st, &[0], 1, Some(&session), 0.0, &mut rng);
+                assert_eq!(
+                    out.newly_informed, delivered,
+                    "{kernel:?}, lanes {active:#b}"
+                );
+            }
+            let mut sweep = SweepEngine::new(&g, 1);
+            let mut st = BroadcastState::new(4, 0);
+            let out = sweep.execute_round_faulty(&mut st, &[0], 1, Some(&session), 0.0, &mut rng);
+            assert_eq!(out.newly_informed, delivered, "sweep, lanes {active:#b}");
         }
     }
 

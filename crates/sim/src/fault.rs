@@ -18,10 +18,12 @@
 //!
 //! A [`FaultPlan`] fixes every fault deterministically before the run;
 //! [`FaultConfig`] samples plans from rates and placement policies (random
-//! or adversarial highest-degree) with a seeded RNG.  During a run a
-//! [`FaultSession`] resolves the plan round by round; all of its RNG draws
-//! (the burst-channel coins) happen in ascending node-id order, so sparse,
-//! dense, and lane-batched kernels replay faulty runs **bit-identically**
+//! or adversarial highest-degree) with a seeded RNG.  During a run one
+//! [`FaultSession`] per protocol loop — one lane for the scalar loop, one
+//! or more 64-lane groups for the lane engines — resolves the plan round
+//! by round; its only RNG draws (the burst-channel coins) happen in
+//! ascending node-id order on each lane's own stream, so sparse, dense,
+//! sweep, and lane-batched kernels replay faulty runs **bit-identically**
 //! — the same contract the lossy path already obeys (see
 //! `docs/ROBUSTNESS.md`).
 //!
@@ -683,14 +685,22 @@ impl FaultConfig {
     }
 }
 
-/// Round-by-round resolution of a [`FaultPlan`] during one scalar run.
+/// Round-by-round resolution of a [`FaultPlan`] during one run of
+/// `groups × 64` trial lanes.
+///
+/// Fault state is shared across lanes (the plan is per-node, not
+/// per-trial), but each lane owns a private burst channel at every node,
+/// stepped from that lane's RNG.  The scalar loop holds one lane
+/// (`groups = 1`, active mask `[1]`), the single-word lane loop one group,
+/// and the tiled kernel up to 16.
 ///
 /// Call [`FaultSession::begin_round`] at the top of every round — before
 /// any protocol decision — to advance the fault state and draw the burst
 /// coins; the returned slice is the events that became effective this
-/// round.  Burst coins are the *only* RNG consumption: exactly one coin
-/// per node per round in ascending node-id order (and none at all without
-/// burst loss), which is what keeps faulty replays kernel-independent.
+/// round.  Burst coins are the *only* RNG consumption: each active lane
+/// draws exactly one coin per node per round in ascending node-id order
+/// (and none at all without burst loss), which is what keeps faulty
+/// replays kernel-independent.
 #[derive(Debug)]
 pub struct FaultSession<'p> {
     plan: &'p FaultPlan,
@@ -700,13 +710,17 @@ pub struct FaultSession<'p> {
     /// ascending.
     jammers: Vec<NodeId>,
     cursor: usize,
-    /// Burst channels currently in the bad state.
-    burst_bad: BitSet,
+    groups: usize,
+    /// `burst_bad[v * groups + g]` bit `l` = lane `g·64 + l`'s channel at
+    /// `v` is bad; empty when the plan has no burst channel.
+    burst_bad: Vec<u64>,
 }
 
 impl<'p> FaultSession<'p> {
-    /// A session at round 0 (initially asleep nodes already blocked).
-    pub fn new(plan: &'p FaultPlan) -> FaultSession<'p> {
+    /// A session at round 0 (initially asleep nodes already blocked)
+    /// tracking `groups × 64` lanes of burst-channel state.
+    pub fn new(plan: &'p FaultPlan, groups: usize) -> FaultSession<'p> {
+        assert!(groups >= 1, "need at least one lane group");
         let mut blocked = BitSet::new(plan.n);
         for v in 0..plan.n {
             if plan.wake_round[v] > 1 {
@@ -718,34 +732,65 @@ impl<'p> FaultSession<'p> {
             blocked,
             jammers: Vec::new(),
             cursor: 0,
-            burst_bad: BitSet::new(plan.n),
+            groups,
+            burst_bad: vec![0; plan.burst.map_or(0, |_| plan.n * groups)],
         }
     }
 
     /// Advances to `round` (rounds must be visited in increasing order):
     /// applies crashes and wake-ups, recomputes the live jammer set, and
-    /// steps every burst channel by one coin.  Returns the plan events
-    /// that became effective this round.
-    pub fn begin_round(&mut self, round: u32, rng: &mut Xoshiro256pp) -> &'p [FaultEvent] {
-        let fired = advance_faults(
-            self.plan,
-            round,
-            &mut self.cursor,
-            &mut self.blocked,
-            &mut self.jammers,
-        );
-        if let Some(b) = self.plan.burst {
-            for v in 0..self.plan.n {
-                if self.burst_bad.get(v) {
-                    if rng.coin(b.p_good) {
-                        self.burst_bad.unset(v);
+    /// steps the burst channels of every lane in `active` (one mask word
+    /// per group; lane `l` draws from `rngs[l]`).  Each lane draws one
+    /// coin per node in ascending node order, and inactive (finished)
+    /// lanes draw nothing.  Returns the plan events that became effective
+    /// this round.
+    pub fn begin_round(
+        &mut self,
+        round: u32,
+        active: &[u64],
+        rngs: &mut [Xoshiro256pp],
+    ) -> &'p [FaultEvent] {
+        assert_eq!(active.len(), self.groups, "active mask per lane group");
+        let plan = self.plan;
+        let start = self.cursor;
+        while let Some(ev) = plan.events.get(self.cursor) {
+            if ev.round > round {
+                break;
+            }
+            match ev.kind {
+                FaultEventKind::Crash => self.blocked.set(ev.node as usize),
+                // A wake-up never revives a node that has already crashed;
+                // checking the crash round (not event order) makes
+                // same-round crash-vs-wake order-independent.
+                FaultEventKind::Wake => {
+                    if plan.crash_round[ev.node as usize] > round {
+                        self.blocked.unset(ev.node as usize);
                     }
-                } else if rng.coin(b.p_bad) {
-                    self.burst_bad.set(v);
+                }
+                // Jamming is recomputed from the windows below; the events
+                // exist for tracing only.
+                FaultEventKind::JamStart | FaultEventKind::JamStop => {}
+            }
+            self.cursor += 1;
+        }
+        self.jammers.clear();
+        for &(v, from, to) in &plan.jams {
+            if from <= round && round <= to && !self.blocked.get(v as usize) {
+                self.jammers.push(v);
+            }
+        }
+        if let Some(b) = plan.burst {
+            for words in self.burst_bad.chunks_exact_mut(self.groups) {
+                for ((g, word), &act) in words.iter_mut().enumerate().zip(active) {
+                    // Bad channels heal with `p_good`, good ones fail with `p_bad`.
+                    let rngs = &mut rngs[g * 64..];
+                    let healed = Xoshiro256pp::lane_coins(rngs, *word & act, b.p_good);
+                    let failed = Xoshiro256pp::lane_coins(rngs, !*word & act, b.p_bad);
+                    *word = (*word & !healed) | failed;
                 }
             }
         }
-        fired
+        &plan.events[start..self.cursor]
     }
 
     /// Nodes that currently neither transmit nor receive (crashed or
@@ -759,145 +804,21 @@ impl<'p> FaultSession<'p> {
         &self.jammers
     }
 
-    /// Whether node `v`'s burst channel is currently bad (receptions at
-    /// `v` are lost).
-    pub fn burst_bad(&self, v: NodeId) -> bool {
-        self.burst_bad.get(v as usize)
+    /// Lane group `g`'s burst word at `v`: bit `l` is set when lane
+    /// `g·64 + l`'s channel at `v` is bad, so receptions there are lost.
+    /// Zero when the plan has no burst channel, and for `g ≥ groups`
+    /// (lanes the session does not track).
+    pub fn burst_word(&self, v: NodeId, g: usize) -> u64 {
+        if self.burst_bad.is_empty() || g >= self.groups {
+            return 0;
+        }
+        self.burst_bad[v as usize * self.groups + g]
     }
 
     /// Whether `v` cannot usefully transmit this round: blocked, or busy
-    /// jamming.  The protocol runners skip muted nodes *before* drawing
+    /// jamming.  The protocol loops skip muted nodes *before* drawing
     /// their transmit coin.
     pub fn mute(&self, v: NodeId) -> bool {
-        self.blocked.get(v as usize) || self.jammers.binary_search(&v).is_ok()
-    }
-}
-
-/// Shared fault-advance logic of the scalar and lane-batched sessions.
-fn advance_faults<'p>(
-    plan: &'p FaultPlan,
-    round: u32,
-    cursor: &mut usize,
-    blocked: &mut BitSet,
-    jammers: &mut Vec<NodeId>,
-) -> &'p [FaultEvent] {
-    let start = *cursor;
-    while let Some(ev) = plan.events.get(*cursor) {
-        if ev.round > round {
-            break;
-        }
-        match ev.kind {
-            FaultEventKind::Crash => blocked.set(ev.node as usize),
-            // A wake-up never revives a node that has already crashed;
-            // checking the crash round (not event order) makes same-round
-            // crash-vs-wake order-independent.
-            FaultEventKind::Wake => {
-                if plan.crash_round[ev.node as usize] > round {
-                    blocked.unset(ev.node as usize);
-                }
-            }
-            // Jamming is recomputed from the windows below; the events
-            // exist for tracing only.
-            FaultEventKind::JamStart | FaultEventKind::JamStop => {}
-        }
-        *cursor += 1;
-    }
-    jammers.clear();
-    for &(v, from, to) in &plan.jams {
-        if from <= round && round <= to && !blocked.get(v as usize) {
-            jammers.push(v);
-        }
-    }
-    &plan.events[start..*cursor]
-}
-
-/// The lane-batched counterpart of [`FaultSession`]: fault state is shared
-/// across lanes (the plan is per-node, not per-trial), but each lane owns
-/// a private burst-channel word so its coin stream matches the scalar run
-/// on the same RNG.
-#[derive(Debug)]
-pub(crate) struct LaneFaultSession<'p> {
-    plan: &'p FaultPlan,
-    blocked: BitSet,
-    jammers: Vec<NodeId>,
-    cursor: usize,
-    /// Lane groups of 64: 1 for the batch kernel, up to 16 for the
-    /// tiled kernel.
-    groups: usize,
-    /// `burst_bad[v * groups + g]` bit `l` = lane `g·64 + l`'s channel
-    /// at `v` is bad.
-    burst_bad: Vec<u64>,
-}
-
-impl<'p> LaneFaultSession<'p> {
-    /// A session tracking `groups × 64` lanes of burst-channel state.
-    pub(crate) fn new(plan: &'p FaultPlan, groups: usize) -> LaneFaultSession<'p> {
-        assert!(groups >= 1, "need at least one lane group");
-        let mut blocked = BitSet::new(plan.n);
-        for v in 0..plan.n {
-            if plan.wake_round[v] > 1 {
-                blocked.set(v);
-            }
-        }
-        LaneFaultSession {
-            plan,
-            blocked,
-            jammers: Vec::new(),
-            cursor: 0,
-            groups,
-            burst_bad: vec![0; plan.n * groups],
-        }
-    }
-
-    /// Advances the shared fault state to `round` and steps the burst
-    /// channels of every lane in `active` (one mask word per group).
-    /// Each lane draws one coin per node, in ascending node order, from
-    /// its private RNG — exactly the scalar draw sequence — and inactive
-    /// (finished) lanes draw nothing, matching their scalar runs having
-    /// exited the round loop.
-    pub(crate) fn begin_round(
-        &mut self,
-        round: u32,
-        active: &[u64],
-        rngs: &mut [Xoshiro256pp],
-    ) -> &'p [FaultEvent] {
-        assert_eq!(active.len(), self.groups, "active mask per lane group");
-        let fired = advance_faults(
-            self.plan,
-            round,
-            &mut self.cursor,
-            &mut self.blocked,
-            &mut self.jammers,
-        );
-        if let Some(b) = self.plan.burst {
-            for words in self.burst_bad.chunks_exact_mut(self.groups) {
-                for ((g, word), &act) in words.iter_mut().enumerate().zip(active) {
-                    // Bad channels heal with `p_good`, good ones fail with `p_bad`.
-                    let rngs = &mut rngs[g * 64..];
-                    let healed = Xoshiro256pp::lane_coins(rngs, *word & act, b.p_good);
-                    let failed = Xoshiro256pp::lane_coins(rngs, !*word & act, b.p_bad);
-                    *word = (*word & !healed) | failed;
-                }
-            }
-        }
-        fired
-    }
-
-    pub(crate) fn blocked_node(&self, v: NodeId) -> bool {
-        self.blocked.get(v as usize)
-    }
-
-    pub(crate) fn jammers(&self) -> &[NodeId] {
-        &self.jammers
-    }
-
-    /// Per-group burst words at `v` (`groups` words).
-    pub(crate) fn burst_words(&self, v: NodeId) -> &[u64] {
-        let base = v as usize * self.groups;
-        &self.burst_bad[base..base + self.groups]
-    }
-
-    pub(crate) fn mute(&self, v: NodeId) -> bool {
         self.blocked.get(v as usize) || self.jammers.binary_search(&v).is_ok()
     }
 }
@@ -959,6 +880,38 @@ mod tests {
     use super::*;
     use radio_graph::gnp::sample_gnp;
     use radio_graph::Graph;
+
+    /// Advances a one-lane session on `rng`, the way the scalar loop does.
+    fn step<'p>(
+        session: &mut FaultSession<'p>,
+        round: u32,
+        rng: &mut Xoshiro256pp,
+    ) -> &'p [FaultEvent] {
+        session.begin_round(round, &[1], std::slice::from_mut(rng))
+    }
+
+    /// The burst rule written out for one lane, independent of the
+    /// session: over `rounds` rounds on `rng`, each node in ascending
+    /// order draws one coin — a bad channel heals with `p_good`, a good
+    /// one fails with `p_bad`.  Returns which channels end bad.
+    fn reference_burst(
+        n: usize,
+        rounds: u32,
+        (p_bad, p_good): (f64, f64),
+        rng: &mut Xoshiro256pp,
+    ) -> Vec<bool> {
+        let mut bad = vec![false; n];
+        for _ in 0..rounds {
+            for b in &mut bad {
+                *b = if *b {
+                    !rng.coin(p_good)
+                } else {
+                    rng.coin(p_bad)
+                };
+            }
+        }
+        bad
+    }
 
     #[test]
     fn parse_full_spec() {
@@ -1067,32 +1020,34 @@ mod tests {
     fn session_crash_sleep_jam_semantics() {
         let mut plan = FaultPlan::new(6);
         plan.crash(2, 3).sleep(4, 4).jam(5, 2, 3);
-        let mut session = FaultSession::new(&plan);
+        let mut session = FaultSession::new(&plan, 1);
         let mut rng = Xoshiro256pp::new(1);
 
-        let fired = session.begin_round(1, &mut rng);
+        let fired = step(&mut session, 1, &mut rng);
         assert!(fired.is_empty());
         assert!(session.blocked().get(4), "asleep from the start");
         assert!(!session.blocked().get(2));
         assert!(session.jammers().is_empty());
         assert!(session.mute(4) && !session.mute(2));
 
-        let fired = session.begin_round(2, &mut rng);
+        let fired = step(&mut session, 2, &mut rng);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, FaultEventKind::JamStart);
         assert_eq!(session.jammers(), &[5]);
         assert!(session.mute(5));
 
-        let fired = session.begin_round(3, &mut rng);
+        let fired = step(&mut session, 3, &mut rng);
         assert!(fired.iter().any(|e| e.kind == FaultEventKind::Crash));
         assert!(session.blocked().get(2));
 
-        let fired = session.begin_round(4, &mut rng);
+        let fired = step(&mut session, 4, &mut rng);
         assert!(fired.iter().any(|e| e.kind == FaultEventKind::Wake));
         assert!(!session.blocked().get(4), "woke up");
         assert!(session.jammers().is_empty(), "jam window over");
         assert!(session.blocked().get(2), "crash is forever");
-        // No burst configured: the RNG was never consulted.
+        // No burst configured: no burst words, and the RNG was never
+        // consulted.
+        assert!(session.burst_bad.is_empty());
         assert_eq!(Xoshiro256pp::new(1).next(), rng.next());
     }
 
@@ -1101,10 +1056,10 @@ mod tests {
         // Crash and wake at the same round: the node must stay dead.
         let mut plan = FaultPlan::new(3);
         plan.crash(1, 4).sleep(1, 4);
-        let mut session = FaultSession::new(&plan);
+        let mut session = FaultSession::new(&plan, 1);
         let mut rng = Xoshiro256pp::new(1);
         for round in 1..=5 {
-            session.begin_round(round, &mut rng);
+            step(&mut session, round, &mut rng);
         }
         assert!(session.blocked().get(1));
     }
@@ -1113,12 +1068,12 @@ mod tests {
     fn crashed_jammer_goes_silent() {
         let mut plan = FaultPlan::new(4);
         plan.jam(2, 1, u32::MAX).crash(2, 3);
-        let mut session = FaultSession::new(&plan);
+        let mut session = FaultSession::new(&plan, 1);
         let mut rng = Xoshiro256pp::new(1);
-        session.begin_round(1, &mut rng);
+        step(&mut session, 1, &mut rng);
         assert_eq!(session.jammers(), &[2]);
-        session.begin_round(2, &mut rng);
-        session.begin_round(3, &mut rng);
+        step(&mut session, 2, &mut rng);
+        step(&mut session, 3, &mut rng);
         assert!(session.jammers().is_empty(), "crashed jammer stops jamming");
     }
 
@@ -1126,18 +1081,22 @@ mod tests {
     fn burst_channel_draws_one_coin_per_node_per_round() {
         let mut plan = FaultPlan::new(5);
         plan.set_burst(1.0, 0.0); // good → bad immediately, never recovers
-        let mut session = FaultSession::new(&plan);
+        let mut session = FaultSession::new(&plan, 1);
         let mut rng = Xoshiro256pp::new(9);
-        session.begin_round(1, &mut rng);
+        step(&mut session, 1, &mut rng);
         for v in 0..5 {
-            assert!(session.burst_bad(v), "all channels bad after round 1");
+            assert_eq!(
+                session.burst_word(v, 0),
+                1,
+                "all channels bad after round 1"
+            );
         }
         // Exactly 5 coins per round were drawn.
         let mut reference = Xoshiro256pp::new(9);
         for _ in 0..5 {
             reference.coin(1.0);
         }
-        session.begin_round(2, &mut rng);
+        step(&mut session, 2, &mut rng);
         for _ in 0..5 {
             reference.coin(0.0);
         }
@@ -1149,7 +1108,7 @@ mod tests {
         let mut plan = FaultPlan::new(7);
         plan.set_burst(0.4, 0.3);
         let lanes = 4;
-        let mut lane_session = LaneFaultSession::new(&plan, 1);
+        let mut lane_session = FaultSession::new(&plan, 1);
         let mut rngs: Vec<Xoshiro256pp> =
             (0..lanes).map(|l| radio_graph::child_rng(11, l)).collect();
         // Lane 2 goes inactive after round 2.
@@ -1159,20 +1118,22 @@ mod tests {
         }
 
         for (l, lane_rng) in rngs.iter_mut().enumerate() {
-            let mut scalar = FaultSession::new(&plan);
+            let mut scalar = FaultSession::new(&plan, 1);
             let mut rng = radio_graph::child_rng(11, l as u64);
             let rounds = if l == 2 { 2 } else { 4 };
             for round in 1..=rounds {
-                scalar.begin_round(round, &mut rng);
+                step(&mut scalar, round, &mut rng);
             }
+            let mut inline = radio_graph::child_rng(11, l as u64);
+            let bad = reference_burst(7, rounds, (0.4, 0.3), &mut inline);
             for v in 0..7 {
-                assert_eq!(
-                    scalar.burst_bad(v),
-                    lane_session.burst_words(v)[0] >> l & 1 == 1,
-                    "lane {l} node {v}"
-                );
+                let lane_bad = lane_session.burst_word(v, 0) >> l & 1 == 1;
+                assert_eq!(scalar.burst_word(v, 0) == 1, lane_bad, "lane {l} node {v}");
+                assert_eq!(bad[v as usize], lane_bad, "lane {l} node {v}, inline rule");
             }
-            assert_eq!(rng.next(), lane_rng.next(), "lane {l} residual stream");
+            let residual = lane_rng.next();
+            assert_eq!(rng.next(), residual, "lane {l} residual stream");
+            assert_eq!(inline.next(), residual, "lane {l} residual, inline rule");
         }
     }
 
@@ -1181,7 +1142,7 @@ mod tests {
         let mut plan = FaultPlan::new(5);
         plan.set_burst(0.4, 0.3);
         let lanes = 70u64; // two groups: 64 full + 6 partial
-        let mut session = LaneFaultSession::new(&plan, 2);
+        let mut session = FaultSession::new(&plan, 2);
         let mut rngs: Vec<Xoshiro256pp> =
             (0..lanes).map(|l| radio_graph::child_rng(23, l)).collect();
         let active = [u64::MAX, (1u64 << 6) - 1];
@@ -1189,19 +1150,21 @@ mod tests {
             session.begin_round(round, &active, &mut rngs);
         }
         for (l, lane_rng) in rngs.iter_mut().enumerate() {
-            let mut scalar = FaultSession::new(&plan);
+            let mut scalar = FaultSession::new(&plan, 1);
             let mut rng = radio_graph::child_rng(23, l as u64);
             for round in 1..=3 {
-                scalar.begin_round(round, &mut rng);
+                step(&mut scalar, round, &mut rng);
             }
+            let mut inline = radio_graph::child_rng(23, l as u64);
+            let bad = reference_burst(5, 3, (0.4, 0.3), &mut inline);
             for v in 0..5 {
-                assert_eq!(
-                    scalar.burst_bad(v),
-                    session.burst_words(v)[l >> 6] >> (l & 63) & 1 == 1,
-                    "lane {l} node {v}"
-                );
+                let lane_bad = session.burst_word(v, l >> 6) >> (l & 63) & 1 == 1;
+                assert_eq!(scalar.burst_word(v, 0) == 1, lane_bad, "lane {l} node {v}");
+                assert_eq!(bad[v as usize], lane_bad, "lane {l} node {v}, inline rule");
             }
-            assert_eq!(rng.next(), lane_rng.next(), "lane {l} residual stream");
+            let residual = lane_rng.next();
+            assert_eq!(rng.next(), residual, "lane {l} residual stream");
+            assert_eq!(inline.next(), residual, "lane {l} residual, inline rule");
         }
     }
 

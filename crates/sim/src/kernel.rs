@@ -88,7 +88,7 @@ pub enum KernelUsed {
     /// kernel.
     Batch,
     /// The run executed on the provider-driven forward-edge sweep
-    /// ([`crate::sweep::SweepEngine`]) — the implicit/sharded backend path,
+    /// ([`crate::sweep`]) — the implicit/sharded backend path,
     /// which never materializes an adjacency.
     Sweep,
     /// The run was one lane of the tiled SIMD + multithreaded kernel
@@ -172,9 +172,6 @@ pub(crate) struct DenseState {
     ge1: Vec<u64>,
     /// Plane 2: "≥ 2 transmitting neighbors" per node.
     ge2: Vec<u64>,
-    /// Jam plane: "≥ 1 jamming neighbor" per node (faulty rounds only;
-    /// lazily sized, always zeroed between rounds).
-    jam: Vec<u64>,
 }
 
 #[derive(Debug)]
@@ -195,7 +192,6 @@ impl DenseState {
             build_ns: None,
             ge1: Vec::new(),
             ge2: Vec::new(),
-            jam: Vec::new(),
         }
     }
 
@@ -244,16 +240,23 @@ impl DenseState {
 
     /// Executes one round bit-parallel.  Requires a prior successful
     /// [`DenseState::ensure_ready`]; `active` must already be deduplicated
-    /// and policy-filtered, with `transmitting` as its bit mask.
+    /// and policy-filtered, and `transmitting` is its bit mask plus the
+    /// `jammers` (they hold the channel and cannot receive).  A jammer's
+    /// row saturates both counter planes, so a node it reaches hears a
+    /// collision, never a delivery; nodes set in `blocked`
+    /// (crashed/asleep) are excluded from reception entirely.
     ///
     /// `deliver` is consulted once per exactly-one reception in ascending
-    /// node-id order — the same order as the sparse kernel's lossy path —
-    /// so traces are byte-identical across kernels.
+    /// node-id order — the same order as the sparse kernel's canonical
+    /// path — so traces are byte-identical across kernels.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute(
         &mut self,
         state: &mut BroadcastState,
         active: &[NodeId],
+        jammers: &[NodeId],
         transmitting: &BitSet,
+        blocked: Option<&BitSet>,
         round: u32,
         mut deliver: impl FnMut(NodeId) -> bool,
     ) -> RoundOutcome {
@@ -262,7 +265,7 @@ impl DenseState {
         };
         let (ge1, ge2) = (&mut self.ge1, &mut self.ge2);
         let mut outcome = RoundOutcome {
-            transmitters: active.len(),
+            transmitters: active.len() + jammers.len(),
             ..RoundOutcome::default()
         };
 
@@ -275,16 +278,24 @@ impl DenseState {
             for &t in active {
                 merge_tile(&mut ge1[lo..hi], &mut ge2[lo..hi], &bitmap.row(t)[lo..hi]);
             }
+            for &j in jammers {
+                or_tile(&mut ge1[lo..hi], &bitmap.row(j)[lo..hi]);
+                or_tile(&mut ge2[lo..hi], &bitmap.row(j)[lo..hi]);
+            }
         }
 
-        // Resolution sweep: count reached/collisions among uninformed
-        // listeners and stash the exactly-one mask in ge2.  ge1 has no
-        // bits ≥ n (adjacency rows are tail-clean), so the complements'
-        // tail bits cannot leak in.
+        // Resolution sweep: count reached/collisions among uninformed,
+        // unblocked listeners and stash the exactly-one mask in ge2.  ge1
+        // has no bits ≥ n (adjacency rows are tail-clean), so the
+        // complements' tail bits cannot leak in.
         let tx_words = transmitting.words();
         let informed_words = state.informed_mask().words();
+        let blocked_words = blocked.map(BitSet::words);
         for i in 0..ge1.len() {
-            let eligible = !tx_words[i] & !informed_words[i];
+            let mut eligible = !tx_words[i] & !informed_words[i];
+            if let Some(b) = blocked_words {
+                eligible &= !b[i];
+            }
             let reached = ge1[i] & eligible;
             outcome.reached += reached.count_ones() as usize;
             outcome.collisions += (reached & ge2[i]).count_ones() as usize;
@@ -294,80 +305,6 @@ impl DenseState {
 
         // Delivery sweep over the stashed exactly-one mask, clearing it as
         // we go so both planes end the round zeroed.
-        for (i, slot) in ge2.iter_mut().enumerate() {
-            let mut word = *slot;
-            *slot = 0;
-            while word != 0 {
-                let v = (i * 64 + word.trailing_zeros() as usize) as NodeId;
-                word &= word - 1;
-                if deliver(v) {
-                    state.inform(v, round);
-                    outcome.newly_informed += 1;
-                }
-            }
-        }
-        outcome
-    }
-
-    /// The dense kernel under faults.  Real transmitters merge through the
-    /// two counter planes as usual; jammer rows accumulate in a third
-    /// `jam` plane, so a node reached only by jammers still registers as
-    /// reached-with-collision, never as a delivery.  Nodes set in
-    /// `blocked` (crashed/asleep) are excluded from reception entirely.
-    ///
-    /// `transmitting` must already include the jammers (they hold the
-    /// channel and cannot receive).  Delivery order is ascending node id,
-    /// identical to [`DenseState::execute`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute_faulty(
-        &mut self,
-        state: &mut BroadcastState,
-        active: &[NodeId],
-        jammers: &[NodeId],
-        transmitting: &BitSet,
-        blocked: &BitSet,
-        round: u32,
-        mut deliver: impl FnMut(NodeId) -> bool,
-    ) -> RoundOutcome {
-        if self.jam.len() != self.ge1.len() {
-            self.jam = vec![0; self.ge1.len()];
-        }
-        let BitmapSlot::Ready(bitmap) = &self.bitmap else {
-            unreachable!("dense round without a ready bitmap");
-        };
-        let (ge1, ge2, jam) = (&mut self.ge1, &mut self.ge2, &mut self.jam);
-        let mut outcome = RoundOutcome {
-            transmitters: active.len() + jammers.len(),
-            ..RoundOutcome::default()
-        };
-
-        for (lo, hi) in column_tiles(ge1.len(), DENSE_TILE_WORDS) {
-            for &t in active {
-                merge_tile(&mut ge1[lo..hi], &mut ge2[lo..hi], &bitmap.row(t)[lo..hi]);
-            }
-            for &j in jammers {
-                or_tile(&mut jam[lo..hi], &bitmap.row(j)[lo..hi]);
-            }
-        }
-
-        // Resolution sweep.  "Exactly one" now additionally requires a
-        // jam-free word position; everything else reached is a collision.
-        // ge1/jam carry no tail bits (adjacency rows are tail-clean), so
-        // the complements' tails cannot leak in.
-        let tx_words = transmitting.words();
-        let blocked_words = blocked.words();
-        let informed_words = state.informed_mask().words();
-        for i in 0..ge1.len() {
-            let eligible = !tx_words[i] & !blocked_words[i] & !informed_words[i];
-            let any = (ge1[i] | jam[i]) & eligible;
-            outcome.reached += any.count_ones() as usize;
-            let e1 = ge1[i] & !ge2[i] & !jam[i] & eligible;
-            outcome.collisions += (any & !e1).count_ones() as usize;
-            ge2[i] = e1;
-            ge1[i] = 0;
-            jam[i] = 0;
-        }
-
         for (i, slot) in ge2.iter_mut().enumerate() {
             let mut word = *slot;
             *slot = 0;

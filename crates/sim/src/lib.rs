@@ -112,6 +112,6 @@ pub use runner::{parse_radio_threads, run_trials, run_trials_serial, thread_budg
 pub use schedule::{run_schedule, run_schedule_observed, Schedule};
 pub use schedule_io::{load_schedule, save_schedule};
 pub use state::BroadcastState;
-pub use sweep::{resolve_backend, Backend, SweepEngine};
+pub use sweep::{resolve_backend, Backend};
 pub use tiled::MAX_TILED_LANES;
 pub use trace::{RoundRecord, RunResult, TraceLevel};

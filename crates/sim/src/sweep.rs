@@ -1,20 +1,20 @@
 //! Provider-driven round execution: the implicit and sharded backends.
 //!
 //! [`RoundEngine`](crate::engine::RoundEngine) walks per-transmitter CSR
-//! rows, which requires the full adjacency in memory.  [`SweepEngine`]
+//! rows, which requires the full adjacency in memory.  `SweepEngine`
 //! instead resolves a round by sweeping every **forward edge** of a
 //! [`GraphProvider`] once — for edge `{u, v}` it bumps `v`'s hit counter if
 //! `u` transmits and vice versa — so it runs unmodified on backends that
 //! have no stored adjacency at all ([`ImplicitGnp`]).  Hit counters saturate
 //! at 2 (the radio rule only distinguishes "exactly one" from "two or
-//! more"), and jammer noise marks a separate jam bit, exactly as in the
+//! more"), and a jammer's noise counts as two hits, exactly as in the
 //! sparse kernel.
 //!
 //! ## Sharding
 //!
 //! The edge sweep is embarrassingly parallel over row ranges: each shard
 //! owns a disjoint range of rows (forward edges are owned by their lower
-//! endpoint) and a private `(hits, jam)` scratch.  At the round barrier the
+//! endpoint) and a private hit-count scratch.  At the round barrier the
 //! per-shard counters merge with saturating addition — `min(2, a + b)` is
 //! exact for the only distinction that matters and commutative, so the
 //! merged state is **independent of the shard count**.  All coins (loss,
@@ -38,7 +38,7 @@ use radio_graph::{
 use std::ops::Range;
 
 use crate::bitset::BitSet;
-use crate::driver::LaneMerge;
+use crate::driver::{LaneMerge, ScalarRound};
 use crate::engine::RoundOutcome;
 use crate::fault::FaultSession;
 use crate::kernel::{KernelUsed, DEFAULT_BITMAP_CAP_BYTES};
@@ -50,7 +50,7 @@ use crate::state::BroadcastState;
 /// [`RoundEngine`](crate::engine::RoundEngine) with its sparse/dense/batch
 /// kernels);
 /// `Implicit` regenerates neighborhoods from the seed via [`ImplicitGnp`]
-/// and runs on the [`SweepEngine`]; `Sharded` is the sweep over an explicit
+/// and runs on the forward-edge sweep; `Sharded` is the sweep over an explicit
 /// CSR split across worker shards.  `Auto` picks per run size — see
 /// [`resolve_backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -126,49 +126,29 @@ pub fn resolve_backend(requested: Backend, n: usize) -> (Backend, Option<BitmapC
     }
 }
 
-/// Per-shard scratch: transmitting-neighbor counts (saturating at 2) and
-/// jam-noise bits for the rows this shard's edges touch.
-#[derive(Debug)]
-struct ShardScratch {
-    hits: Vec<u8>,
-    jam: BitSet,
+/// Adds one transmitting neighbor to `w`'s count, or two for a jammer's
+/// noise (a jam hit is a collision, never a delivery), saturating at 2.
+#[inline]
+fn bump(hits: &mut [u8], w: NodeId, jam: bool) {
+    let h = &mut hits[w as usize];
+    *h = (*h + 1 + u8::from(jam)).min(2);
 }
 
-impl ShardScratch {
-    fn new(n: usize) -> Self {
-        ShardScratch {
-            hits: vec![0; n],
-            jam: BitSet::new(n),
-        }
-    }
-
-    #[inline]
-    fn bump(&mut self, w: NodeId, jam: bool) {
-        let h = &mut self.hits[w as usize];
-        if *h < 2 {
-            *h += 1;
-        }
-        if jam {
-            self.jam.set(w as usize);
-        }
-    }
-}
-
-/// Sweeps `range`'s forward edges, accumulating hits at both endpoints of
-/// every edge with a transmitting endpoint.
+/// Sweeps `range`'s forward edges into one shard's hit counts: both
+/// endpoints of every edge with a transmitting endpoint.
 fn fill_shard(
     provider: &dyn GraphProvider,
     range: Range<NodeId>,
     tx: &BitSet,
     jam_src: &BitSet,
-    scratch: &mut ShardScratch,
+    hits: &mut [u8],
 ) {
     provider.for_forward_edges(range, &mut |u, v| {
         if tx.get(u as usize) {
-            scratch.bump(v, jam_src.get(u as usize));
+            bump(hits, v, jam_src.get(u as usize));
         }
         if tx.get(v as usize) {
-            scratch.bump(u, jam_src.get(v as usize));
+            bump(hits, u, jam_src.get(v as usize));
         }
     });
 }
@@ -180,78 +160,47 @@ fn fill_shard(
 /// [`RoundEngine`](crate::engine::RoundEngine) under the default
 /// [`TransmitterPolicy::InformedOnly`](crate::engine::TransmitterPolicy);
 /// the engine differs only in how it finds the edges.
-pub struct SweepEngine<'p> {
+pub(crate) struct SweepEngine<'p> {
     provider: &'p dyn GraphProvider,
     ranges: Vec<Range<NodeId>>,
-    shards: Vec<ShardScratch>,
+    /// Per-shard transmitting-neighbor counts of the rows its edges touch
+    /// (saturating at 2; see [`bump`]).
+    shards: Vec<Vec<u8>>,
     /// Transmitter membership this round (transmitters and jammers).
     is_transmitter: BitSet,
     /// Jam sources this round (the session's jammers).
     jam_src: BitSet,
     /// Effective transmitter list, reused across rounds.
     active: Vec<NodeId>,
-    rounds: u64,
 }
 
 impl<'p> SweepEngine<'p> {
     /// A new engine sweeping `provider` with `shards` row-range shards
     /// (clamped to ≥ 1).  Shard count affects wall-clock only, never
     /// results.
-    pub fn new(provider: &'p dyn GraphProvider, shards: usize) -> Self {
+    pub(crate) fn new(provider: &'p dyn GraphProvider, shards: usize) -> Self {
         let n = provider.n();
         let shards = shards.max(1);
         SweepEngine {
             provider,
             ranges: shard_ranges(n, shards),
-            shards: (0..shards).map(|_| ShardScratch::new(n)).collect(),
+            shards: vec![vec![0; n]; shards],
             is_transmitter: BitSet::new(n),
             jam_src: BitSet::new(n),
             active: Vec::new(),
-            rounds: 0,
         }
     }
+}
 
-    /// The provider being swept.
-    pub fn provider(&self) -> &'p dyn GraphProvider {
-        self.provider
-    }
-
-    /// Number of row-range shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds_executed(&self) -> u64 {
-        self.rounds
-    }
-
-    /// The kernel this engine reports: always [`KernelUsed::Sweep`].
-    pub fn kernel_used(&self) -> KernelUsed {
-        KernelUsed::Sweep
-    }
-
-    /// Executes one radio round (exact model, no faults).  Mirrors
-    /// [`RoundEngine::execute_round`](crate::engine::RoundEngine::execute_round).
-    pub fn execute_round(
+impl ScalarRound for SweepEngine<'_> {
+    /// One round with the semantics and coin order of
+    /// [`RoundEngine::execute_round_faulty`](crate::engine::RoundEngine::execute_round_faulty).
+    fn execute_round_faulty(
         &mut self,
         state: &mut BroadcastState,
         transmitters: &[NodeId],
         round: u32,
-    ) -> RoundOutcome {
-        self.execute_with(state, transmitters, round, None, &mut |_| true)
-    }
-
-    /// Executes one round with i.i.d. per-reception loss.  The loss coin is
-    /// drawn once per exactly-one reception in ascending node-id order —
-    /// the same discipline as
-    /// [`RoundEngine::execute_round_lossy`](crate::engine::RoundEngine::execute_round_lossy),
-    /// so the two engines replay identically.
-    pub fn execute_round_lossy(
-        &mut self,
-        state: &mut BroadcastState,
-        transmitters: &[NodeId],
-        round: u32,
+        faults: Option<&FaultSession<'_>>,
         loss_prob: f64,
         rng: &mut Xoshiro256pp,
     ) -> RoundOutcome {
@@ -259,51 +208,10 @@ impl<'p> SweepEngine<'p> {
             (0.0..=1.0).contains(&loss_prob),
             "loss_prob must be within [0, 1], got {loss_prob}"
         );
-        self.execute_with(state, transmitters, round, None, &mut |_| {
-            !rng.coin(loss_prob)
-        })
-    }
-
-    /// Executes one round under a fault session; semantics and coin order
-    /// match
-    /// [`RoundEngine::execute_round_faulty`](crate::engine::RoundEngine::execute_round_faulty)
-    /// exactly.  The caller must have advanced the session with
-    /// [`FaultSession::begin_round`] first.
-    pub fn execute_round_faulty(
-        &mut self,
-        state: &mut BroadcastState,
-        transmitters: &[NodeId],
-        round: u32,
-        session: &FaultSession<'_>,
-        loss_prob: f64,
-        rng: &mut Xoshiro256pp,
-    ) -> RoundOutcome {
-        assert!(
-            (0.0..=1.0).contains(&loss_prob),
-            "loss_prob must be within [0, 1], got {loss_prob}"
-        );
-        // Burst veto first, without a coin; the loss coin only for
-        // receptions the burst channel lets through (same order as the
-        // round engine).
-        self.execute_with(state, transmitters, round, Some(session), &mut |w| {
-            !session.burst_bad(w) && (loss_prob <= 0.0 || !rng.coin(loss_prob))
-        })
-    }
-
-    fn execute_with(
-        &mut self,
-        state: &mut BroadcastState,
-        transmitters: &[NodeId],
-        round: u32,
-        session: Option<&FaultSession<'_>>,
-        deliver: &mut dyn FnMut(NodeId) -> bool,
-    ) -> RoundOutcome {
-        let n = self.provider.n();
-        debug_assert_eq!(state.n(), n);
+        debug_assert_eq!(state.n(), self.provider.n());
 
         // Effective transmitter set: deduplicated, informed-only, unmuted.
-        let mut active = std::mem::take(&mut self.active);
-        active.clear();
+        self.active.clear();
         for &t in transmitters {
             if self.is_transmitter.get(t as usize) {
                 continue; // duplicate
@@ -311,116 +219,102 @@ impl<'p> SweepEngine<'p> {
             if !state.is_informed(t) {
                 continue;
             }
-            if session.is_some_and(|s| s.mute(t)) {
+            if faults.is_some_and(|s| s.mute(t)) {
                 continue;
             }
             self.is_transmitter.set(t as usize);
-            active.push(t);
+            self.active.push(t);
         }
         // Jammers occupy the channel too: they cannot receive this round.
-        let jammers = session.map_or(&[][..], |s| s.jammers());
+        let jammers = faults.map_or(&[][..], |s| s.jammers());
         for &j in jammers {
             self.is_transmitter.set(j as usize);
             self.jam_src.set(j as usize);
         }
 
         // Fill: sweep forward edges, one shard per row range.
-        {
-            let provider = self.provider;
-            let tx = &self.is_transmitter;
-            let jam_src = &self.jam_src;
-            if self.shards.len() == 1 {
-                fill_shard(
-                    provider,
-                    self.ranges[0].clone(),
-                    tx,
-                    jam_src,
-                    &mut self.shards[0],
-                );
-            } else {
-                let ranges = &self.ranges;
-                std::thread::scope(|scope| {
-                    for (scratch, range) in self.shards.iter_mut().zip(ranges) {
-                        let range = range.clone();
-                        scope.spawn(move || fill_shard(provider, range, tx, jam_src, scratch));
-                    }
-                });
-            }
+        let (provider, tx, jam_src) = (self.provider, &self.is_transmitter, &self.jam_src);
+        if self.shards.len() == 1 {
+            fill_shard(
+                provider,
+                self.ranges[0].clone(),
+                tx,
+                jam_src,
+                &mut self.shards[0],
+            );
+        } else {
+            std::thread::scope(|scope| {
+                for (hits, range) in self.shards.iter_mut().zip(&self.ranges) {
+                    let range = range.clone();
+                    scope.spawn(move || fill_shard(provider, range, tx, jam_src, hits));
+                }
+            });
         }
 
         // Merge shards 1.. into shard 0 at the round barrier: saturating
-        // counter addition (exact for the ==1 vs ≥2 distinction and
-        // commutative, so results are shard-count-invariant) plus jam-bit
-        // union.
-        if self.shards.len() > 1 {
-            let (first, rest) = self.shards.split_at_mut(1);
-            let merged = &mut first[0];
-            for other in rest.iter_mut() {
-                for (m, o) in merged.hits.iter_mut().zip(&other.hits) {
-                    *m = (*m + *o).min(2);
-                }
-                merged.jam.union_with(&other.jam);
+        // counter addition is exact for the ==1 vs ≥2 distinction and
+        // commutative, so results are shard-count-invariant.
+        let (first, rest) = self.shards.split_at_mut(1);
+        let hits = &mut first[0];
+        for other in rest.iter() {
+            for (m, o) in hits.iter_mut().zip(other) {
+                *m = (*m + *o).min(2);
             }
         }
 
         // Serial resolution in ascending node-id order — all coins are
         // drawn here, never in the fill, so shard scheduling cannot
-        // influence the stream.
+        // influence the stream.  The burst veto draws no coin; the loss
+        // coin only for receptions the burst channel lets through.
         let mut outcome = RoundOutcome {
-            transmitters: active.len() + jammers.len(),
+            transmitters: self.active.len() + jammers.len(),
             ..RoundOutcome::default()
         };
-        let blocked = session.map(|s| s.blocked());
-        {
-            let scr = &self.shards[0];
-            for w in 0..n {
-                let h = scr.hits[w];
-                if h == 0 {
-                    continue;
-                }
-                if self.is_transmitter.get(w) {
-                    continue; // transmitting (or jamming), not listening
-                }
-                if blocked.is_some_and(|b| b.get(w)) {
-                    continue; // crashed or asleep: deaf
-                }
-                let w = w as NodeId;
-                if !state.is_informed(w) {
-                    outcome.reached += 1;
-                    if h == 1 && !scr.jam.get(w as usize) {
-                        if deliver(w) {
-                            state.inform(w, round);
-                            outcome.newly_informed += 1;
-                        }
-                    } else {
-                        outcome.collisions += 1;
+        let blocked = faults.map(|s| s.blocked());
+        for (w, &h) in hits.iter().enumerate() {
+            // Transmitters and jammers do not listen; blocked (crashed or
+            // asleep) nodes are deaf.
+            if h == 0 || self.is_transmitter.get(w) || blocked.is_some_and(|b| b.get(w)) {
+                continue;
+            }
+            let w = w as NodeId;
+            if !state.is_informed(w) {
+                outcome.reached += 1;
+                if h == 1 {
+                    let delivered = faults.is_none_or(|s| s.burst_word(w, 0) & 1 == 0)
+                        && (loss_prob <= 0.0 || !rng.coin(loss_prob));
+                    if delivered {
+                        state.inform(w, round);
+                        outcome.newly_informed += 1;
                     }
+                } else {
+                    outcome.collisions += 1;
                 }
             }
         }
 
         // Reset scratch for the next round.
-        for scratch in &mut self.shards {
-            scratch.hits.fill(0);
-            scratch.jam.clear();
+        for hits in &mut self.shards {
+            hits.fill(0);
         }
-        for &t in &active {
+        for &t in self.active.iter().chain(jammers) {
             self.is_transmitter.unset(t as usize);
         }
         for &j in jammers {
-            self.is_transmitter.unset(j as usize);
             self.jam_src.unset(j as usize);
         }
-        self.active = active;
-        self.rounds += 1;
         outcome
+    }
+
+    fn kernel_used(&self) -> KernelUsed {
+        KernelUsed::Sweep
     }
 }
 
 /// Per-shard lane scratch: two-plane saturating counters over trial
 /// lanes (`planes[v] = [ge1, ge2]`, the lanes with ≥ 1 / ≥ 2
 /// transmitting neighbors of `v` so far) plus jam-noise bits — the
-/// lane-batched analogue of [`ShardScratch`].
+/// lane-batched analogue of `SweepEngine`'s per-shard hit counts.
 struct LaneShardScratch {
     planes: Vec<[u64; 2]>,
     jam: BitSet,
@@ -664,16 +558,26 @@ mod tests {
         assert_eq!((b, note), (Backend::Sharded, None));
     }
 
+    /// One plain round on `eng` (no faults, no loss: no coin is drawn).
+    fn plain_round(
+        eng: &mut SweepEngine<'_>,
+        st: &mut BroadcastState,
+        tx: &[NodeId],
+        round: u32,
+    ) -> RoundOutcome {
+        let mut rng = Xoshiro256pp::new(0);
+        eng.execute_round_faulty(st, tx, round, None, 0.0, &mut rng)
+    }
+
     #[test]
     fn sweep_matches_engine_on_star() {
         let g = Graph::star(5);
         let mut st = BroadcastState::new(5, 0);
         let mut eng = SweepEngine::new(&g, 1);
-        let out = eng.execute_round(&mut st, &[0], 1);
+        let out = plain_round(&mut eng, &mut st, &[0], 1);
         assert_eq!(out.transmitters, 1);
         assert_eq!(out.newly_informed, 4);
         assert!(st.is_complete());
-        assert_eq!(eng.rounds_executed(), 1);
     }
 
     #[test]
@@ -684,12 +588,12 @@ mod tests {
         let mut st = BroadcastState::new(3, 0);
         st.inform(1, 0);
         let mut eng = SweepEngine::new(&g, 1);
-        let out = eng.execute_round(&mut st, &[0, 1, 0], 1);
+        let out = plain_round(&mut eng, &mut st, &[0, 1, 0], 1);
         assert_eq!(out.transmitters, 2);
         assert_eq!(out.collisions, 1);
         assert!(!st.is_informed(2));
         // Uninformed entries are skipped (InformedOnly semantics).
-        let out2 = eng.execute_round(&mut st, &[2], 2);
+        let out2 = plain_round(&mut eng, &mut st, &[2], 2);
         assert_eq!(out2.transmitters, 0);
     }
 

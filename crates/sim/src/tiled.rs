@@ -45,7 +45,7 @@ use crate::batch::bits;
 use crate::bitset::BitSet;
 use crate::driver::{lane_summaries, LaneBook};
 use crate::exec::RunSpec;
-use crate::fault::LaneFaultSession;
+use crate::fault::FaultSession;
 use crate::kernel::KernelUsed;
 use crate::protocol::Protocol;
 use crate::runner::thread_budget;
@@ -118,7 +118,7 @@ pub(crate) fn run_tiled<P: Protocol + ?Sized>(
         .collect();
     protocol.begin_run(n);
 
-    let mut session = plan.map(|p| LaneFaultSession::new(p, groups));
+    let mut session = plan.map(|p| FaultSession::new(p, groups));
     let mut jam_touch = plan.map(|_| BitSet::new(n));
 
     // Per-lane broadcast state: informed plane (c words per node,
@@ -265,10 +265,7 @@ pub(crate) fn run_tiled<P: Protocol + ?Sized>(
                 let base = v * c;
                 // Blocked (crashed/asleep) nodes receive nothing and
                 // count toward neither reach nor collisions.
-                if session
-                    .as_ref()
-                    .is_some_and(|s| s.blocked_node(v as NodeId))
-                {
+                if session.as_ref().is_some_and(|s| s.blocked().get(v)) {
                     rplane[base..base + c].fill(0);
                     e1plane[base..base + c].fill(0);
                     continue;
@@ -290,10 +287,7 @@ pub(crate) fn run_tiled<P: Protocol + ?Sized>(
                     book.reach(w * 64, reached, reached & !e1);
                     // Burst veto consumes no coin; lost-to-burst lanes
                     // skip the loss coin too.
-                    let burst = match session.as_ref() {
-                        Some(s) if w < groups => s.burst_words(v as NodeId)[w],
-                        _ => 0,
-                    };
+                    let burst = session.as_ref().map_or(0, |s| s.burst_word(v as NodeId, w));
                     let mut delivered = e1 & !burst;
                     if loss > 0.0 {
                         delivered &=

@@ -126,8 +126,9 @@ if [ "$fast" -eq 0 ]; then
   ctest --release --offline -q -p radio-integration --test batch_vs_scalar
 
   # The fault-model differential suite re-runs in release: the dense
-  # three-plane resolution and the batch jam/burst word arithmetic must
-  # stay bit-identical to the sparse reference under optimization.
+  # resolution (jammer rows saturate both planes), the Auto dispatch and
+  # the batch jam/burst word arithmetic must stay bit-identical to the
+  # sparse reference under optimization.
   step "fault-model differential suite (release)"
   ctest --release --offline -q -p radio-sim fault
   ctest --release --offline -q -p radio-integration --test fault_differential
@@ -167,9 +168,6 @@ if [ "$fast" -eq 0 ]; then
   ctest --release --offline -q -p radio-graph lane_coins
   ctest --release --offline -q -p radio-integration --test lane_decisions
 
-  # The experiment registry: the driver must list all experiments, and the
-  # smoke suite runs every registered experiment at a tiny grid and checks
-  # the parallel `all` path is bit-identical to serial.
   # The broadcast-service contract re-runs in release at cluster scale
   # (1024 nodes, partition + crash + loss): full coverage after heal,
   # byte-identical stripped reports across thread budgets, and the
@@ -186,9 +184,16 @@ if [ "$fast" -eq 0 ]; then
   d1=$(node_scale target/debug/radio-node 1)
   [ "$r1" = "$d1" ] || { echo "node scale: debug and release reports differ" >&2; exit 1; }
 
+  # The experiment registry: the driver must list all experiments, and the
+  # smoke suite runs every registered experiment at a tiny grid and checks
+  # the parallel `all` path is bit-identical to serial.
   step "experiment registry (release)"
   cargo run --release --offline -q -p radio-bench -- list
   ctest --release --offline -q -p radio-bench --test registry
 fi
+
+# The tracked size of the simulator crate (report only).
+step "crates/sim line count"
+scripts/sim_loc.sh
 
 printf '\nall checks passed\n'

@@ -127,6 +127,46 @@ fn batch_lanes_match_scalar_kernels_under_faults() {
     }
 }
 
+/// `EngineKernel::Auto` replays every fault type like the explicit kernels
+/// while really switching between them: at n = 1024 and degree ≈ 8 its
+/// cost model runs rounds with at most two senders (jammers included)
+/// sparse and busier ones dense, so the case cannot pass on one kernel.
+#[test]
+fn auto_kernel_matches_explicit_kernels_under_faults() {
+    let n = 1024;
+    let p = 8.0 / n as f64;
+    let g = sample_gnp(n, p, &mut Xoshiro256pp::new(31));
+    let cfg = RunConfig::for_graph(n).with_max_rounds(300).with_loss(0.1);
+    let mut mixed = 0;
+    for (case, plan) in fault_cases(&g) {
+        for (proto_name, make) in protocol_factories(p) {
+            let mut runs = Vec::new();
+            for kernel in [
+                EngineKernel::Sparse,
+                EngineKernel::Dense,
+                EngineKernel::Auto,
+            ] {
+                let mut rng = Xoshiro256pp::new(99);
+                let mut proto = make();
+                let mut run = RunSpec::on_graph(&g, 0)
+                    .with_config(cfg.with_kernel(kernel))
+                    .with_faults(&plan)
+                    .run_with_rng(proto.as_mut(), &mut rng)
+                    .into_single();
+                mixed += usize::from(run.kernel == KernelUsed::Mixed);
+                run.kernel = KernelUsed::Sparse;
+                runs.push((run, rng.next()));
+            }
+            assert_eq!(runs[1], runs[0], "{case}/{proto_name}: dense vs sparse");
+            assert_eq!(runs[2], runs[0], "{case}/{proto_name}: auto vs sparse");
+        }
+    }
+    assert!(
+        mixed > 0,
+        "Auto never switched kernels within a faulted run"
+    );
+}
+
 /// The lane-sweep engine pins the graceful-degradation summary per lane:
 /// under a generated crash/sleep/jam/burst plan, every lane of a
 /// provider-backed lane-plane run (lanes 7 and 64, shards 1 and 4) must

@@ -144,11 +144,8 @@ fn kernel_choice_invisible_in_multi_round_runs() {
                     .into_iter()
                     .filter(|_| sched_rng.coin(0.3))
                     .collect();
-                let out = if loss > 0.0 {
-                    engine.execute_round_lossy(&mut st, &tx, round, loss, &mut loss_rng)
-                } else {
-                    engine.execute_round(&mut st, &tx, round)
-                };
+                let out =
+                    engine.execute_round_faulty(&mut st, &tx, round, None, loss, &mut loss_rng);
                 outcomes.push(out);
             }
             runs.push((st, outcomes, loss_rng.next()));
