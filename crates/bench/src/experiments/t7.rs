@@ -193,8 +193,10 @@ fn run_scale_sweep(exp: &T7, ctx: &ExpContext) -> BenchReport {
         vec![1 << 18, 1 << 20, 1 << 22, 10_000_000],
     ));
     let trials = args.trials_or(args.scale(2, 3, 1));
-    // Implicit sweeps use one shard; the sharded backend splits rows across
-    // the RADIO_THREADS worker budget (results are shard-count-invariant).
+    // The scale points are implicit graphs, for which the shard count is
+    // only recorded (it routes explicit providers).  Every sweep fills its
+    // rounds on the RADIO_THREADS worker budget; a multi-trial point nests
+    // those fills in run_trials workers and so oversubscribes the cores.
     let shards = match args.backend {
         Backend::Sharded => thread_budget(usize::MAX).max(2),
         _ => 1,

@@ -65,6 +65,6 @@ pub use bfs::Layering;
 pub use bitmap::{AdjacencyBitmap, BitmapCapError};
 pub use builder::GraphBuilder;
 pub use csr::{Graph, NodeId};
-pub use provider::{shard_ranges, GraphProvider, ImplicitGnp};
+pub use provider::{GraphProvider, ImplicitGnp};
 pub use rng::{child_rng, derive_seed, labeled_seed, SplitMix64, Xoshiro256pp};
 pub use tile::{column_tiles, AlignedWords, TileLayout};

@@ -17,9 +17,10 @@
 //!   geometric skip sampling (Batagelj & Brandes), `O(d)` time per row and
 //!   `O(1)` memory for the whole graph;
 //! * **sharded** — any provider's rows can be split into disjoint ranges
-//!   and swept concurrently; the sharded execution itself lives in
-//!   `radio-sim` (per-shard collision counters merged at the round
-//!   barrier), this module only supplies the row-range iteration it needs.
+//!   and swept concurrently; the parallel sweep itself lives in
+//!   `radio-sim` (per-worker collision counters over row blocks, merged at
+//!   the round barrier), this module only supplies the row-range
+//!   iteration it needs.
 //!
 //! ## The canonical per-row edge scheme
 //!
@@ -58,8 +59,8 @@ use crate::rng::{derive_seed, SplitMix64};
 /// fast path.
 ///
 /// Implementations must be deterministic: two sweeps over the same rows
-/// visit the same edges in the same order.  `Sync` is required so sharded
-/// engines can sweep disjoint row ranges from worker threads.
+/// visit the same edges in the same order.  `Sync` is required so sweep
+/// engines can fill disjoint row blocks from worker threads.
 pub trait GraphProvider: Sync {
     /// Number of nodes.
     fn n(&self) -> usize;
@@ -129,8 +130,8 @@ impl GraphProvider for Graph {
 /// recomputation per sweep instead.
 ///
 /// Two values with equal `(n, p, seed)` denote the same graph; the edge
-/// set is pinned by the RNG stream and never changes across queries,
-/// shards, or [`ImplicitGnp::materialize`].
+/// set is pinned by the RNG stream and never changes across queries, row
+/// ranges, or [`ImplicitGnp::materialize`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImplicitGnp {
     n: usize,
@@ -249,24 +250,6 @@ impl GraphProvider for ImplicitGnp {
     }
 }
 
-/// Splits `0..n` into `shards` near-even contiguous row ranges (the last
-/// shards absorb the remainder; empty ranges are possible when
-/// `shards > n`).
-pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<NodeId>> {
-    let shards = shards.max(1);
-    let base = n / shards;
-    let extra = n % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut lo = 0usize;
-    for s in 0..shards {
-        let len = base + usize::from(s < extra);
-        ranges.push(lo as NodeId..(lo + len) as NodeId);
-        lo += len;
-    }
-    debug_assert_eq!(lo, n);
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,9 +275,13 @@ mod tests {
     fn explicit_adapter_row_ranges_partition_edges() {
         let g = Graph::from_edges(8, vec![(0, 7), (1, 2), (3, 6), (5, 6), (6, 7)]);
         let all = collect_edges(&g, 0..8);
-        let mut pieced = collect_edges(&g, 0..3);
-        pieced.extend(collect_edges(&g, 3..8));
-        assert_eq!(all, pieced);
+        for cuts in [&[0, 3, 8][..], &[0, 1, 1, 5, 7, 8], &[0, 8]] {
+            let mut pieced = Vec::new();
+            for w in cuts.windows(2) {
+                pieced.extend(collect_edges(&g, w[0]..w[1]));
+            }
+            assert_eq!(all, pieced, "cuts {cuts:?}");
+        }
         assert_eq!(all.len(), g.m());
     }
 
@@ -304,11 +291,13 @@ mod tests {
         let all = collect_edges(&imp, 0..500);
         let again = collect_edges(&imp, 0..500);
         assert_eq!(all, again, "re-query must regenerate identical edges");
+        // Uneven pieces, an empty one included, in the order a block fill
+        // might visit them.
         let mut pieced = Vec::new();
-        for r in shard_ranges(500, 7) {
+        for r in [0..1, 1..71, 71..71, 71..300, 300..499, 499..500] {
             pieced.extend(collect_edges(&imp, r));
         }
-        assert_eq!(all, pieced, "sharded sweep must see the same edges");
+        assert_eq!(all, pieced, "piecewise row queries must see the same edges");
     }
 
     #[test]
@@ -378,20 +367,6 @@ mod tests {
         assert!((imp.expected_degree() - 20.0).abs() < 0.1);
         let g = imp.materialize();
         assert!((g.average_degree() - 20.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn shard_ranges_partition() {
-        for (n, shards) in [(10, 3), (7, 7), (5, 9), (0, 2), (100, 1)] {
-            let ranges = shard_ranges(n, shards);
-            assert_eq!(ranges.len(), shards.max(1));
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start as usize, next);
-                next = r.end as usize;
-            }
-            assert_eq!(next, n, "ranges must cover 0..{n}");
-        }
     }
 
     #[test]

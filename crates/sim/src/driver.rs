@@ -48,6 +48,10 @@ pub(crate) trait ScalarRound {
         rng: &mut Xoshiro256pp,
     ) -> RoundOutcome;
     fn kernel_used(&self) -> KernelUsed;
+    /// Worker threads that execute each round.
+    fn workers(&self) -> u32 {
+        1
+    }
 }
 
 impl ScalarRound for RoundEngine<'_> {
@@ -150,6 +154,7 @@ pub(crate) fn run_scalar<E: ScalarRound, P: Protocol + ?Sized, O: RunObserver>(
     observer.on_run_end(completed, round, informed);
     let mut result = tb.finish(completed, round, informed, n);
     result.kernel = engine.kernel_used();
+    result.threads = engine.workers();
     if let Some(plan) = spec.fault_plan {
         let view = with_adjacency(provider, |g| plan.live_view(g, round, state.source()));
         result.faults = Some(view.summary(|v| state.is_informed(v)));
@@ -163,6 +168,11 @@ pub(crate) fn run_scalar<E: ScalarRound, P: Protocol + ?Sized, O: RunObserver>(
 pub(crate) trait LaneMerge {
     /// The kernel every lane's [`RunResult`] reports.
     const KERNEL: KernelUsed;
+
+    /// Worker threads that execute each merge.
+    fn workers(&self) -> u32 {
+        1
+    }
 
     /// Merges the transmit words `t` (non-zero exactly at `tx_nodes`,
     /// which include the round's `jammers`) and calls
@@ -315,7 +325,7 @@ pub(crate) fn run_lanes<M: LaneMerge, P: Protocol + ?Sized>(
         book.next_round();
     }
 
-    book.finish(round, M::KERNEL, 1, |horizons| {
+    book.finish(round, M::KERNEL, merge.workers(), |horizons| {
         plan.map(|p| {
             lane_summaries(p, provider, source, horizons, |l, v| {
                 informed[v as usize] >> l & 1 == 1

@@ -720,7 +720,7 @@ mod tests {
                     "{kernel:?}, lanes {active:#b}"
                 );
             }
-            let mut sweep = SweepEngine::new(&g, 1);
+            let mut sweep = SweepEngine::new(&g, None);
             let mut st = BroadcastState::new(4, 0);
             let out = sweep.execute_round_faulty(&mut st, &[0], 1, Some(&session), 0.0, &mut rng);
             assert_eq!(out.newly_informed, delivered, "sweep, lanes {active:#b}");

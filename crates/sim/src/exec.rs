@@ -67,7 +67,8 @@
 //! seeds scalar plans with `child_rng(master_seed, 0)` so the same spec
 //! produces the same lane-0 result whichever engine the planner picks.
 //! Kernel choice, shard count, and thread count never change results —
-//! only the informational `kernel`/`threads` fields of [`RunResult`].
+//! only the informational `kernel`/`threads` fields of [`RunResult`],
+//! where `threads` is the tiled merge's or the sweep fill's worker count.
 
 use radio_graph::{child_rng, Graph, GraphProvider, NodeId, Xoshiro256pp};
 
@@ -87,12 +88,11 @@ use crate::trace::RunResult;
 pub enum GraphSource<'a> {
     /// Explicit CSR adjacency, owned by the caller.
     Csr(&'a Graph),
-    /// Any [`GraphProvider`] backend, swept in `shards` row-range shards.
+    /// Any [`GraphProvider`] backend, run on the provider sweeps.
     Provider {
         /// The backend supplying forward edges.
         provider: &'a dyn GraphProvider,
-        /// Row-range shard count (clamped to ≥ 1; wall-clock only, never
-        /// results).
+        /// Shard count (≥ 1): only routes (see [`RunSpec::on_provider`]).
         shards: usize,
     },
 }
@@ -151,11 +151,12 @@ pub struct Plan {
     pub engine: PlannedEngine,
     /// Trial lanes the run executes.
     pub lanes: usize,
-    /// Row-range shards (provider engines; 1 for explicit engines).
+    /// The spec's shard count (provider engines; 1 for explicit engines),
+    /// recorded only: it sets no thread count.
     pub shards: usize,
-    /// Explicit worker-thread override for the tiled engine, if any
-    /// (`None` = [`thread_budget`](crate::runner::thread_budget) at
-    /// execution time — which never changes results).
+    /// Explicit worker-thread override for the tiled merge and the sweep
+    /// fills, if any (`None` = [`thread_budget`](crate::runner::thread_budget)
+    /// at execution time — which never changes results).
     pub threads: Option<usize>,
 }
 
@@ -243,12 +244,13 @@ impl<'a> RunSpec<'a> {
         }
     }
 
-    /// A run on any [`GraphProvider`] backend, swept in `shards`
-    /// row-range shards (clamped to ≥ 1).
+    /// A run on any [`GraphProvider`] backend.
     ///
-    /// With one shard and a provider that exposes explicit adjacency
-    /// ([`GraphProvider::as_explicit`]), the planner routes to the
-    /// explicit engines instead of the sweep — bit-identical either way.
+    /// `shards` (clamped to ≥ 1) only routes a provider with explicit
+    /// adjacency ([`GraphProvider::as_explicit`]): to the explicit engines
+    /// at one shard, to the sharded sweep above — bit-identical either
+    /// way.  It is recorded in [`Plan::shards`] and sets no thread count:
+    /// the sweep fills on [`RunSpec::with_threads`] workers.
     pub fn on_provider(
         provider: &'a dyn GraphProvider,
         shards: usize,
@@ -300,7 +302,8 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// Explicit intra-round worker count for the tiled engine, bypassing
+    /// Explicit intra-round worker count for the tiled merge and the sweep
+    /// fills (clamped to their row blocks), bypassing
     /// [`thread_budget`](crate::runner::thread_budget).  Never affects
     /// results.
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -429,7 +432,7 @@ impl<'a> RunSpec<'a> {
                 plan.lanes,
             ),
             PlannedEngine::LaneSweep => {
-                let merge = SweepLanes::new(self.provider(), plan.shards);
+                let merge = SweepLanes::new(self.provider(), self.threads);
                 run_lanes(self, merge, protocol, plan.lanes)
             }
             PlannedEngine::Tiled => run_tiled(self, protocol, plan.lanes, self.threads),
@@ -487,7 +490,7 @@ impl<'a> RunSpec<'a> {
                 run_scalar(self, engine, protocol, rng, observer)
             }
             PlannedEngine::Sweep => {
-                let engine = SweepEngine::new(self.provider(), plan.shards);
+                let engine = SweepEngine::new(self.provider(), self.threads);
                 run_scalar(self, engine, protocol, rng, observer)
             }
             other => panic!("a scalar run needs lanes = 1, planner chose {other:?}"),

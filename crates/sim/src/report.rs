@@ -89,8 +89,8 @@ pub struct RunReport {
     /// differ between kernel selections.
     pub kernel: Option<String>,
     /// Worker threads that executed the run's rounds, if recorded (1 for
-    /// every scalar kernel; the tiled kernel reports its intra-round pool
-    /// size).  Purely informational — thread count never changes results.
+    /// the round and batch kernels; the tiled merge and the sweep fill
+    /// report their intra-round worker count).  Purely informational — thread count never changes results.
     pub threads: Option<u32>,
     /// Number of trial lanes when the run was one lane of a lane-batched
     /// execution (a multi-lane [`crate::exec::RunSpec`]); omitted from the

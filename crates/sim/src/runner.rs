@@ -8,6 +8,7 @@
 //! determinism is part of the contract and is covered by an integration
 //! test.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use radio_graph::{child_rng, Xoshiro256pp};
@@ -39,32 +40,22 @@ where
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = Vec::with_capacity(trials);
     slots.resize_with(trials, || None);
-    let slot_ptr = SendPtr(slots.as_mut_ptr());
+    let out = Disjoint::new(&mut slots);
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let cursor = &cursor;
-            let job = &job;
-            let slots = SendPtr(slot_ptr.0);
-            scope.spawn(move || {
-                // Not redundant: rebinding the whole wrapper defeats
-                // edition-2021 disjoint capture, so the closure captures
-                // `SendPtr` (which is Send) rather than its raw-pointer
-                // field (which is not).
-                #[allow(clippy::redundant_locals)]
-                let slots = slots;
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= trials {
-                        break;
-                    }
-                    let mut rng = child_rng(master_seed, i as u64);
-                    let out = job(i, &mut rng);
-                    // SAFETY: `i` is claimed by exactly one worker (fetch_add
-                    // is unique per index) and `slots` outlives the scope, so
-                    // each slot is written at most once with no aliasing.
-                    unsafe { *slots.0.add(i) = Some(out) };
+            let (cursor, job, out) = (&cursor, &job, &out);
+            scope.spawn(move || loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= trials {
+                    break;
                 }
+                let mut rng = child_rng(master_seed, i as u64);
+                let result = job(i, &mut rng);
+                // SAFETY: `i` is claimed by exactly one worker (fetch_add
+                // is unique per index), so each slot is written at most
+                // once with no aliasing.
+                unsafe { out.range(i, 1)[0] = Some(result) };
             });
         }
     });
@@ -116,15 +107,71 @@ fn worker_count(trials: usize) -> usize {
     thread_budget(trials)
 }
 
-/// Raw-pointer wrapper so worker threads can write disjoint `slots` entries.
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
+/// Workers for an intra-round loop over `blocks` row blocks: the spec's
+/// explicit `threads`, else [`thread_budget`], clamped to `1..=blocks`.
+pub(crate) fn block_workers(threads: Option<usize>, blocks: usize) -> usize {
+    threads
+        .unwrap_or_else(|| thread_budget(blocks))
+        .clamp(1, blocks.max(1))
+}
+
+/// The work-stealing block loop behind the tiled merge and both sweep
+/// fills: calls `work(scratch, block)` once for every block in
+/// `0..blocks`.  The calling thread works on `scratches[0]` and one scoped
+/// thread on each further scratch (at most `blocks` workers in all), each
+/// claiming the next block from one shared cursor; with one scratch or
+/// fewer than two blocks it runs inline and spawns no thread.  Which
+/// worker gets which block differs from call to call, so callers must
+/// combine the scratches in a way that does not depend on it.
+pub(crate) fn for_each_block<S: Send>(
+    blocks: usize,
+    scratches: &mut [S],
+    work: impl Fn(&mut S, usize) + Sync,
+) {
+    let cursor = AtomicUsize::new(0);
+    let claim = |scratch: &mut S| loop {
+        let block = cursor.fetch_add(1, Ordering::Relaxed);
+        if block >= blocks {
+            break;
+        }
+        work(scratch, block);
+    };
+    let workers = scratches.len().min(blocks);
+    let Some((first, rest)) = scratches[..workers].split_first_mut() else {
+        return;
+    };
+    if rest.is_empty() {
+        return claim(first);
+    }
+    std::thread::scope(|scope| {
+        for scratch in rest {
+            scope.spawn(|| claim(scratch));
+        }
+        claim(first);
+    });
+}
+
+/// A mutable slice whose disjoint ranges several workers write at once
+/// (the trial slots here, the tiled merge's planes).
+pub(crate) struct Disjoint<'a, T>(*mut T, usize, PhantomData<&'a mut [T]>);
+
+// SAFETY: workers reach the slice only through `range`, whose callers
+// keep concurrent ranges disjoint.
+unsafe impl<T: Send> Sync for Disjoint<'_, T> {}
+
+impl<'a, T> Disjoint<'a, T> {
+    pub(crate) fn new(slice: &'a mut [T]) -> Self {
+        Disjoint(slice.as_mut_ptr(), slice.len(), PhantomData)
+    }
+
+    /// The `len` elements from `start`.  Safety: no two ranges in use at
+    /// the same time may overlap.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn range(&self, start: usize, len: usize) -> &mut [T] {
+        assert!(start + len <= self.1, "range past the slice");
+        std::slice::from_raw_parts_mut(self.0.add(start), len)
     }
 }
-impl<T> Copy for SendPtr<T> {}
 
 /// Serial twin of [`run_trials`]; used by the determinism tests and handy
 /// when a job is itself internally parallel.

@@ -10,17 +10,21 @@
 //! more"), and a jammer's noise counts as two hits, exactly as in the
 //! sparse kernel.
 //!
-//! ## Sharding
+//! ## The block fill
 //!
-//! The edge sweep is embarrassingly parallel over row ranges: each shard
-//! owns a disjoint range of rows (forward edges are owned by their lower
-//! endpoint) and a private hit-count scratch.  At the round barrier the
-//! per-shard counters merge with saturating addition — `min(2, a + b)` is
-//! exact for the only distinction that matters and commutative, so the
-//! merged state is **independent of the shard count**.  All coins (loss,
-//! burst) are drawn in the serial resolution pass that follows, in
-//! ascending node-id order; shard count therefore never changes results,
-//! which the cross-backend differential suite pins.
+//! Forward edges are owned by their lower endpoint, so each round's fill
+//! runs on [`with_threads`](crate::exec::RunSpec::with_threads) workers,
+//! else the thread budget of its `FILL_ROWS`-row blocks (the tiled
+//! merge's rule).  Every worker claims blocks from one shared cursor into
+//! a private scratch; at the round barrier the scratches merge with
+//! saturating addition — `min(2, a + b)` is exact for the only distinction
+//! that matters and commutative, so the merged state is **independent of
+//! the worker count and the block schedule**.  All coins (loss, burst) are
+//! drawn in the serial resolution pass that follows, in ascending node-id
+//! order, which the cross-backend differential suite pins.  `Plan.threads`
+//! records the `with_threads` override and `RunResult.threads` the workers
+//! used; the `shards` of `RunSpec::on_provider` set no thread count (they
+//! only route an explicit provider to this sweep).
 //!
 //! ## Determinism contract
 //!
@@ -33,7 +37,7 @@
 //! informed sets, same traces, same residual RNG stream.
 
 use radio_graph::{
-    shard_ranges, AdjacencyBitmap, BitmapCapError, GraphProvider, ImplicitGnp, NodeId, Xoshiro256pp,
+    AdjacencyBitmap, BitmapCapError, GraphProvider, ImplicitGnp, NodeId, Xoshiro256pp,
 };
 use std::ops::Range;
 
@@ -42,6 +46,7 @@ use crate::driver::{LaneMerge, ScalarRound};
 use crate::engine::RoundOutcome;
 use crate::fault::FaultSession;
 use crate::kernel::{KernelUsed, DEFAULT_BITMAP_CAP_BYTES};
+use crate::runner::{block_workers, for_each_block};
 use crate::state::BroadcastState;
 
 /// Which graph backend a run executes on.
@@ -50,8 +55,8 @@ use crate::state::BroadcastState;
 /// [`RoundEngine`](crate::engine::RoundEngine) with its sparse/dense/batch
 /// kernels);
 /// `Implicit` regenerates neighborhoods from the seed via [`ImplicitGnp`]
-/// and runs on the forward-edge sweep; `Sharded` is the sweep over an explicit
-/// CSR split across worker shards.  `Auto` picks per run size — see
+/// and runs on the forward-edge sweep; `Sharded` is that sweep over an
+/// explicit CSR.  `Auto` picks per run size — see
 /// [`resolve_backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
@@ -63,7 +68,7 @@ pub enum Backend {
     Explicit,
     /// Seed-only implicit `G(n, p)`, provider-driven sweep.
     Implicit,
-    /// Explicit CSR swept in row-range shards across workers.
+    /// Explicit CSR swept by the provider sweep.
     Sharded,
 }
 
@@ -134,9 +139,26 @@ fn bump(hits: &mut [u8], w: NodeId, jam: bool) {
     *h = (*h + 1 + u8::from(jam)).min(2);
 }
 
-/// Sweeps `range`'s forward edges into one shard's hit counts: both
+/// Rows per fill block: enough edges per cursor claim to hide the claim.
+const FILL_ROWS: usize = 1024;
+
+/// Runs `fill(scratch, rows)` over every block of [`FILL_ROWS`] rows of
+/// `provider`, one scratch per worker (see the [module docs](crate::sweep)).
+fn fill_blocks<S: Send>(
+    provider: &dyn GraphProvider,
+    scratches: &mut [S],
+    fill: impl Fn(&mut S, Range<NodeId>) + Sync,
+) {
+    let n = provider.n();
+    for_each_block(n.div_ceil(FILL_ROWS), scratches, |scratch, block| {
+        let lo = block * FILL_ROWS;
+        fill(scratch, lo as NodeId..(lo + FILL_ROWS).min(n) as NodeId);
+    });
+}
+
+/// Sweeps `range`'s forward edges into one worker's hit counts: both
 /// endpoints of every edge with a transmitting endpoint.
-fn fill_shard(
+fn fill_hits(
     provider: &dyn GraphProvider,
     range: Range<NodeId>,
     tx: &BitSet,
@@ -162,10 +184,9 @@ fn fill_shard(
 /// the engine differs only in how it finds the edges.
 pub(crate) struct SweepEngine<'p> {
     provider: &'p dyn GraphProvider,
-    ranges: Vec<Range<NodeId>>,
-    /// Per-shard transmitting-neighbor counts of the rows its edges touch
-    /// (saturating at 2; see [`bump`]).
-    shards: Vec<Vec<u8>>,
+    /// Per-worker transmitting-neighbor counts of the nodes its blocks'
+    /// edges touch (saturating at 2; see [`bump`]).
+    hits: Vec<Vec<u8>>,
     /// Transmitter membership this round (transmitters and jammers).
     is_transmitter: BitSet,
     /// Jam sources this round (the session's jammers).
@@ -175,16 +196,13 @@ pub(crate) struct SweepEngine<'p> {
 }
 
 impl<'p> SweepEngine<'p> {
-    /// A new engine sweeping `provider` with `shards` row-range shards
-    /// (clamped to ≥ 1).  Shard count affects wall-clock only, never
-    /// results.
-    pub(crate) fn new(provider: &'p dyn GraphProvider, shards: usize) -> Self {
+    /// A new engine sweeping `provider` on `threads` fill workers, else
+    /// the thread budget.  The worker count never changes results.
+    pub(crate) fn new(provider: &'p dyn GraphProvider, threads: Option<usize>) -> Self {
         let n = provider.n();
-        let shards = shards.max(1);
         SweepEngine {
             provider,
-            ranges: shard_ranges(n, shards),
-            shards: vec![vec![0; n]; shards],
+            hits: vec![vec![0; n]; block_workers(threads, n.div_ceil(FILL_ROWS))],
             is_transmitter: BitSet::new(n),
             jam_src: BitSet::new(n),
             active: Vec::new(),
@@ -232,38 +250,24 @@ impl ScalarRound for SweepEngine<'_> {
             self.jam_src.set(j as usize);
         }
 
-        // Fill: sweep forward edges, one shard per row range.
+        // Fill: sweep forward edges in row blocks, one scratch per worker.
         let (provider, tx, jam_src) = (self.provider, &self.is_transmitter, &self.jam_src);
-        if self.shards.len() == 1 {
-            fill_shard(
-                provider,
-                self.ranges[0].clone(),
-                tx,
-                jam_src,
-                &mut self.shards[0],
-            );
-        } else {
-            std::thread::scope(|scope| {
-                for (hits, range) in self.shards.iter_mut().zip(&self.ranges) {
-                    let range = range.clone();
-                    scope.spawn(move || fill_shard(provider, range, tx, jam_src, hits));
-                }
-            });
-        }
+        fill_blocks(provider, &mut self.hits, |hits, rows| {
+            fill_hits(provider, rows, tx, jam_src, hits);
+        });
 
-        // Merge shards 1.. into shard 0 at the round barrier: saturating
-        // counter addition is exact for the ==1 vs ≥2 distinction and
-        // commutative, so results are shard-count-invariant.
-        let (first, rest) = self.shards.split_at_mut(1);
-        let hits = &mut first[0];
-        for other in rest.iter() {
-            for (m, o) in hits.iter_mut().zip(other) {
-                *m = (*m + *o).min(2);
+        // Merge (and clear) workers 1.. into worker 0 at the round
+        // barrier: saturating counter addition is exact for the ==1 vs ≥2
+        // distinction and commutative, so results are worker-invariant.
+        let (hits, rest) = self.hits.split_first_mut().expect("one worker");
+        for other in rest {
+            for (m, o) in hits.iter_mut().zip(other.iter_mut()) {
+                *m = (*m + std::mem::take(o)).min(2);
             }
         }
 
         // Serial resolution in ascending node-id order — all coins are
-        // drawn here, never in the fill, so shard scheduling cannot
+        // drawn here, never in the fill, so block scheduling cannot
         // influence the stream.  The burst veto draws no coin; the loss
         // coin only for receptions the burst channel lets through.
         let mut outcome = RoundOutcome {
@@ -294,9 +298,7 @@ impl ScalarRound for SweepEngine<'_> {
         }
 
         // Reset scratch for the next round.
-        for hits in &mut self.shards {
-            hits.fill(0);
-        }
+        hits.fill(0);
         for &t in self.active.iter().chain(jammers) {
             self.is_transmitter.unset(t as usize);
         }
@@ -309,43 +311,33 @@ impl ScalarRound for SweepEngine<'_> {
     fn kernel_used(&self) -> KernelUsed {
         KernelUsed::Sweep
     }
+
+    fn workers(&self) -> u32 {
+        self.hits.len() as u32
+    }
 }
 
-/// Per-shard lane scratch: two-plane saturating counters over trial
+/// Per-worker lane scratch: two-plane saturating counters over trial
 /// lanes (`planes[v] = [ge1, ge2]`, the lanes with ≥ 1 / ≥ 2
 /// transmitting neighbors of `v` so far) plus jam-noise bits — the
-/// lane-batched analogue of `SweepEngine`'s per-shard hit counts.
-struct LaneShardScratch {
+/// lane-batched analogue of `SweepEngine`'s per-worker hit counts.
+struct LaneScratch {
     planes: Vec<[u64; 2]>,
     jam: BitSet,
-}
-
-impl LaneShardScratch {
-    fn new(n: usize) -> Self {
-        LaneShardScratch {
-            planes: vec![[0, 0]; n],
-            jam: BitSet::new(n),
-        }
-    }
-
-    fn reset(&mut self) {
-        self.planes.fill([0, 0]);
-        self.jam.clear();
-    }
 }
 
 /// Sweeps `range`'s forward edges, merging each transmitting endpoint's
 /// transmit word into the other endpoint's lane planes (and its jam bit
 /// if the transmitter is a jam source).  Stores only — every coin is
 /// drawn in the serial resolution pass.
-fn fill_lane_shard(
+fn fill_lanes(
     provider: &dyn GraphProvider,
     range: Range<NodeId>,
     t: &[u64],
     jam_src: &BitSet,
-    scratch: &mut LaneShardScratch,
+    scratch: &mut LaneScratch,
 ) {
-    let LaneShardScratch { planes, jam } = scratch;
+    let LaneScratch { planes, jam } = scratch;
     provider.for_forward_edges(range, &mut |u, v| {
         let wu = t[u as usize];
         if wu != 0 {
@@ -372,26 +364,29 @@ fn fill_lane_shard(
 /// trials resolved per regenerated edge stream, so implicit backends
 /// amortize edge regeneration across a whole batch of trials.
 ///
-/// Each shard sweeps its row range's forward edges into private planes;
-/// the shards merge at the round barrier, and listeners are then scanned
-/// in ascending order.  No coin is drawn here, so shard count and shard
-/// scheduling never change results.
+/// Each worker sweeps the row blocks it claims into private planes; the
+/// workers' planes merge at the round barrier, and listeners are then
+/// scanned in ascending order.  No coin is drawn here, so the worker
+/// count and the block schedule never change results.
 pub(crate) struct SweepLanes<'p> {
     provider: &'p dyn GraphProvider,
-    ranges: Vec<Range<NodeId>>,
-    shards: Vec<LaneShardScratch>,
+    scratches: Vec<LaneScratch>,
     /// Jam sources this round (the session's jammers).
     jam_src: BitSet,
 }
 
 impl<'p> SweepLanes<'p> {
-    pub(crate) fn new(provider: &'p dyn GraphProvider, shards: usize) -> Self {
+    pub(crate) fn new(provider: &'p dyn GraphProvider, threads: Option<usize>) -> Self {
         let n = provider.n();
-        let shards = shards.max(1);
+        let scratches = (0..block_workers(threads, n.div_ceil(FILL_ROWS)))
+            .map(|_| LaneScratch {
+                planes: vec![[0, 0]; n],
+                jam: BitSet::new(n),
+            })
+            .collect();
         SweepLanes {
             provider,
-            ranges: shard_ranges(n, shards),
-            shards: (0..shards).map(|_| LaneShardScratch::new(n)).collect(),
+            scratches,
             jam_src: BitSet::new(n),
         }
     }
@@ -399,6 +394,10 @@ impl<'p> SweepLanes<'p> {
 
 impl LaneMerge for SweepLanes<'_> {
     const KERNEL: KernelUsed = KernelUsed::Sweep;
+
+    fn workers(&self) -> u32 {
+        self.scratches.len() as u32
+    }
 
     fn merge(
         &mut self,
@@ -411,48 +410,35 @@ impl LaneMerge for SweepLanes<'_> {
         for &j in jammers {
             self.jam_src.set(j as usize);
         }
-        // Fill: sweep forward edges, one shard per row range.
+        // Fill: sweep forward edges in row blocks, one scratch per worker.
         let (provider, jam_src) = (self.provider, &self.jam_src);
-        if self.shards.len() == 1 {
-            fill_lane_shard(
-                provider,
-                self.ranges[0].clone(),
-                t,
-                jam_src,
-                &mut self.shards[0],
-            );
-        } else {
-            std::thread::scope(|scope| {
-                for (scratch, range) in self.shards.iter_mut().zip(&self.ranges) {
-                    let range = range.clone();
-                    scope.spawn(move || fill_lane_shard(provider, range, t, jam_src, scratch));
-                }
-            });
-        }
+        fill_blocks(provider, &mut self.scratches, |scratch, rows| {
+            fill_lanes(provider, rows, t, jam_src, scratch);
+        });
 
-        // Merge shards 1.. into shard 0 at the round barrier: the
-        // per-lane saturating combine `ge2' = a2 | b2 | (a1 & b1);
-        // ge1' = a1 | b1` is commutative and associative, so the merged
-        // planes are independent of the shard count, plus jam-bit union.
-        let (first, rest) = self.shards.split_at_mut(1);
-        let merged = &mut first[0];
-        for other in rest.iter_mut() {
-            for (m, o) in merged.planes.iter_mut().zip(&other.planes) {
-                m[1] |= o[1] | (m[0] & o[0]);
-                m[0] |= o[0];
+        // Merge (and clear) workers 1.. into worker 0 at the round
+        // barrier: the per-lane saturating combine `ge2' = a2 | b2 |
+        // (a1 & b1); ge1' = a1 | b1` is commutative and associative, so
+        // the merged planes are worker-invariant, plus jam-bit union.
+        let (merged, rest) = self.scratches.split_first_mut().expect("one worker");
+        for other in rest {
+            for (m, o) in merged.planes.iter_mut().zip(&mut other.planes) {
+                let [o1, o2] = std::mem::take(o);
+                m[1] |= o2 | (m[0] & o1);
+                m[0] |= o1;
             }
             merged.jam.union_with(&other.jam);
+            other.jam.clear();
         }
 
-        // Listeners in ascending node order.
-        for (v, &[ge1, ge2]) in merged.planes.iter().enumerate() {
-            if ge1 != 0 {
+        // Listeners in ascending node order, clearing as they go.
+        for (v, planes) in merged.planes.iter_mut().enumerate() {
+            if planes[0] != 0 {
+                let [ge1, ge2] = std::mem::take(planes);
                 listener(v as NodeId, ge1, ge2, merged.jam.get(v));
             }
         }
-        for scratch in &mut self.shards {
-            scratch.reset();
-        }
+        merged.jam.clear();
         for &j in jammers {
             self.jam_src.unset(j as usize);
         }
@@ -573,7 +559,7 @@ mod tests {
     fn sweep_matches_engine_on_star() {
         let g = Graph::star(5);
         let mut st = BroadcastState::new(5, 0);
-        let mut eng = SweepEngine::new(&g, 1);
+        let mut eng = SweepEngine::new(&g, None);
         let out = plain_round(&mut eng, &mut st, &[0], 1);
         assert_eq!(out.transmitters, 1);
         assert_eq!(out.newly_informed, 4);
@@ -587,7 +573,7 @@ mod tests {
         let g = Graph::from_edges(3, vec![(0, 2), (1, 2)]);
         let mut st = BroadcastState::new(3, 0);
         st.inform(1, 0);
-        let mut eng = SweepEngine::new(&g, 1);
+        let mut eng = SweepEngine::new(&g, None);
         let out = plain_round(&mut eng, &mut st, &[0, 1, 0], 1);
         assert_eq!(out.transmitters, 2);
         assert_eq!(out.collisions, 1);
@@ -660,6 +646,30 @@ mod tests {
             a.kernel = KernelUsed::Sweep;
             assert_eq!(a, b, "shards = {shards}");
             assert_eq!(rng_a.clone().next(), rng_b.next());
+        }
+    }
+
+    /// `RunResult::threads` is the fill's worker count: `with_threads`
+    /// clamped to the row-block count, so one below two blocks.
+    #[test]
+    fn sweeps_record_their_fill_workers() {
+        let four_blocks = implicit_gnp(3 * FILL_ROWS + 1, 0.002, 5);
+        let one_block = implicit_gnp(FILL_ROWS, 0.01, 5);
+        let cfg = RunConfig::for_graph(FILL_ROWS).with_max_rounds(3);
+        for lanes in [1, 7] {
+            for threads in [1usize, 2, 3, 8] {
+                let workers = |p: &dyn GraphProvider| -> Vec<u32> {
+                    (spec(p, 1, 0, cfg, None).with_lanes(lanes))
+                        .with_threads(threads)
+                        .run(&mut HalfCoin)
+                        .lanes
+                        .iter()
+                        .map(|r| r.threads)
+                        .collect()
+                };
+                assert_eq!(workers(&four_blocks), vec![threads.min(4) as u32; lanes]);
+                assert_eq!(workers(&one_block), vec![1; lanes]);
+            }
         }
     }
 

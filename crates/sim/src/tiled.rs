@@ -6,8 +6,8 @@
 //! words (1024 lanes) resolved by the gather/compress sweep of
 //! [`crate::wide::sweep_rows`], and — because the two-plane saturating
 //! counter is commutative and every listener row is independent —
-//! fans the per-round sweep across a scoped thread pool using the same
-//! work-stealing cursor as [`crate::runner::run_trials`].
+//! fans the per-round sweep across scoped worker threads with the
+//! work-stealing block loop that the provider sweeps' fills share.
 //!
 //! ## Determinism contract
 //!
@@ -37,8 +37,6 @@
 //! [`crate::kernel::tiled_is_cheaper`] break-even) to the batch engine
 //! unless the caller forces [`EngineKernel::Tiled`](crate::EngineKernel::Tiled).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use radio_graph::{child_rng, AlignedWords, NodeId, TileLayout, Xoshiro256pp};
 
 use crate::batch::bits;
@@ -48,7 +46,7 @@ use crate::exec::RunSpec;
 use crate::fault::FaultSession;
 use crate::kernel::KernelUsed;
 use crate::protocol::Protocol;
-use crate::runner::thread_budget;
+use crate::runner::{block_workers, for_each_block, Disjoint};
 use crate::state::NOT_INFORMED;
 use crate::trace::RunResult;
 use crate::wide::{sweep_rows, TiledTable};
@@ -61,17 +59,6 @@ pub const MAX_TILED_LANES: usize = TileLayout::MAX_LANES;
 /// block owns whole words of the `full_bits`/`reached_bits` bitmaps —
 /// which is what lets worker threads write them without atomics.
 const BLOCK_ROWS: usize = 256;
-
-/// Raw-pointer wrapper so worker threads can write disjoint row-block
-/// ranges of the shared planes (same pattern as the trial runner).
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
 
 /// Tiled execution core: the body behind every
 /// [`PlannedEngine::Tiled`](crate::exec::PlannedEngine::Tiled) plan.
@@ -106,10 +93,7 @@ pub(crate) fn run_tiled<P: Protocol + ?Sized>(
     let groups = layout.groups();
     let full_pattern = layout.full_pattern();
 
-    let blocks = n.div_ceil(BLOCK_ROWS);
-    let workers = threads
-        .unwrap_or_else(|| thread_budget(blocks))
-        .clamp(1, blocks.max(1));
+    let workers = block_workers(threads, n.div_ceil(BLOCK_ROWS));
 
     let loss = config.loss_prob;
 
@@ -352,73 +336,31 @@ fn merge_phase(
     scratches: &mut [Vec<u32>],
 ) {
     let c = table.c;
-    let blocks = n.div_ceil(BLOCK_ROWS);
-    let workers = scratches.len().min(blocks);
-    if workers <= 1 {
-        let scratch = &mut scratches[0];
-        for blk in 0..blocks {
-            let row_start = blk * BLOCK_ROWS;
-            let rows = BLOCK_ROWS.min(n - row_start);
-            let (wlo, wcnt) = (row_start / 64, rows.div_ceil(64));
+    let (inf, full) = (Disjoint::new(informed), Disjoint::new(full_bits));
+    let (rp, ep, rb) = (
+        Disjoint::new(rplane),
+        Disjoint::new(e1plane),
+        Disjoint::new(rbits),
+    );
+    for_each_block(n.div_ceil(BLOCK_ROWS), scratches, |scratch, blk| {
+        let row_start = blk * BLOCK_ROWS;
+        let rows = BLOCK_ROWS.min(n - row_start);
+        let (wlo, wcnt) = (row_start / 64, rows.div_ceil(64));
+        // SAFETY: the block loop hands each block to exactly one worker;
+        // blocks cover disjoint `rows * c` ranges of the planes and
+        // (BLOCK_ROWS % 64 == 0) disjoint whole words of the bitmaps.
+        unsafe {
             sweep_block(
                 table,
                 row_start,
                 rows,
-                &mut informed[row_start * c..(row_start + rows) * c],
-                &mut full_bits[wlo..wlo + wcnt],
-                &mut rplane[row_start * c..(row_start + rows) * c],
-                &mut e1plane[row_start * c..(row_start + rows) * c],
-                &mut rbits[wlo..wlo + wcnt],
+                inf.range(row_start * c, rows * c),
+                full.range(wlo, wcnt),
+                rp.range(row_start * c, rows * c),
+                ep.range(row_start * c, rows * c),
+                rb.range(wlo, wcnt),
                 scratch,
             );
-        }
-        return;
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let inf_p = SendPtr(informed.as_mut_ptr());
-    let full_p = SendPtr(full_bits.as_mut_ptr());
-    let rp_p = SendPtr(rplane.as_mut_ptr());
-    let ep_p = SendPtr(e1plane.as_mut_ptr());
-    let rb_p = SendPtr(rbits.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for scratch in scratches.iter_mut().take(workers) {
-            let cursor = &cursor;
-            let (inf_p, full_p, rp_p, ep_p, rb_p) = (inf_p, full_p, rp_p, ep_p, rb_p);
-            scope.spawn(move || {
-                // Not redundant: rebinding the wrappers defeats
-                // edition-2021 disjoint capture, so the closure captures
-                // `SendPtr` (Send) rather than its raw-pointer field.
-                #[allow(clippy::redundant_locals)]
-                let (inf_p, full_p, rp_p, ep_p, rb_p) = (inf_p, full_p, rp_p, ep_p, rb_p);
-                loop {
-                    let blk = cursor.fetch_add(1, Ordering::Relaxed);
-                    if blk >= blocks {
-                        break;
-                    }
-                    let row_start = blk * BLOCK_ROWS;
-                    let rows = BLOCK_ROWS.min(n - row_start);
-                    let (wlo, wcnt) = (row_start / 64, rows.div_ceil(64));
-                    // SAFETY: `fetch_add` hands each block to exactly one
-                    // worker; blocks cover disjoint `rows * c` ranges of
-                    // the planes and (BLOCK_ROWS % 64 == 0) disjoint whole
-                    // words of the bitmaps, and all base pointers outlive
-                    // the scope.
-                    unsafe {
-                        sweep_block(
-                            table,
-                            row_start,
-                            rows,
-                            std::slice::from_raw_parts_mut(inf_p.0.add(row_start * c), rows * c),
-                            std::slice::from_raw_parts_mut(full_p.0.add(wlo), wcnt),
-                            std::slice::from_raw_parts_mut(rp_p.0.add(row_start * c), rows * c),
-                            std::slice::from_raw_parts_mut(ep_p.0.add(row_start * c), rows * c),
-                            std::slice::from_raw_parts_mut(rb_p.0.add(wlo), wcnt),
-                            scratch,
-                        );
-                    }
-                }
-            });
         }
     });
 }

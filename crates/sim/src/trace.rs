@@ -71,8 +71,9 @@ pub struct RunResult {
     /// [`TraceBuilder::finish`] defaults it to `Sparse`).  Informational
     /// only: kernel choice never changes any other field.
     pub kernel: KernelUsed,
-    /// Worker threads that executed the run's rounds (1 for every scalar
-    /// kernel; the tiled kernel records its intra-round pool size).
+    /// Worker threads that executed the run's rounds (1 for the round and
+    /// batch kernels; the tiled merge and the provider sweeps' fill record
+    /// their intra-round worker count).
     /// Informational only: thread count never changes any other field.
     pub threads: u32,
     /// The last round in which any node was newly informed (0 if the source

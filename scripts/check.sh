@@ -57,10 +57,13 @@ ctest --offline -q -p radio-integration --test fault_differential
 
 # The cross-backend contract: the implicit (seed-only) and sharded sweep
 # backends must be bit-identical to the explicit round engine, faulted and
-# lossy runs included.
+# lossy runs included, under a serial and an oversubscribed default fill
+# budget (the suite pins explicit worker counts 1/2/3/8 itself).
 step "backend differential suite (debug)"
-ctest --offline -q -p radio-sim sweep
-ctest --offline -q -p radio-integration --test backend_differential
+for threads in 1 8; do
+  RADIO_THREADS="$threads" ctest --offline -q -p radio-sim sweep
+  RADIO_THREADS="$threads" ctest --offline -q -p radio-integration --test backend_differential
+done
 
 # The exec-planner contract: RunSpec planning is a pure function of its
 # inputs, and the lane planes it schedules on provider backends are
@@ -133,12 +136,15 @@ if [ "$fast" -eq 0 ]; then
   ctest --release --offline -q -p radio-sim fault
   ctest --release --offline -q -p radio-integration --test fault_differential
 
-  # The cross-backend suite re-runs in release: geometric skip sampling and
-  # the sharded merge must reproduce the explicit engine bit-for-bit under
-  # optimization.
+  # The cross-backend suite re-runs in release under both fill budgets:
+  # geometric skip sampling and the block fill's worker merge must
+  # reproduce the explicit engine bit-for-bit under optimization.
   step "backend differential suite (release)"
-  ctest --release --offline -q -p radio-sim sweep
-  ctest --release --offline -q -p radio-integration --test backend_differential
+  for threads in 1 8; do
+    RADIO_THREADS="$threads" ctest --release --offline -q -p radio-sim sweep
+    RADIO_THREADS="$threads" ctest --release --offline -q \
+      -p radio-integration --test backend_differential
+  done
 
   # The exec-planner suite re-runs in release under both worker budgets:
   # planner purity and the lane-plane bit-identity must survive

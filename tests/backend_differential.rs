@@ -6,15 +6,18 @@
 //! same informed sets, same traces, same fault summaries, and the same
 //! residual RNG stream — across the sparse, dense, and lane-batched
 //! explicit kernels, with and without faults and loss, and for any shard
-//! count.
+//! and fill-worker count.
 //!
-//! Shard counts are passed directly (1 and 4 — what `RADIO_THREADS=1/4`
-//! would give the CLI) rather than via the environment variable, which
-//! only `runner.rs`'s own test may set: env vars are process-global and
-//! the test harness runs concurrently.
+//! Shard counts (1 and 4) only route an explicit provider to the sharded
+//! sweep.  Fill-worker counts are passed with `RunSpec::with_threads`
+//! rather than via `RADIO_THREADS`, which only `runner.rs`'s own test may
+//! set: env vars are process-global and the test harness runs
+//! concurrently (`scripts/check.sh` runs this suite under both
+//! `RADIO_THREADS=1` and `=8` to cover the default budget).
 //!
-//! The only [`RunResult`] field allowed to differ between backends is the
-//! informational `kernel` tag; every comparison normalizes it first.
+//! The only [`RunResult`] fields allowed to differ between backends are
+//! the informational `kernel` and `threads` tags; every comparison
+//! normalizes them first.
 
 use radio_broadcast::distributed::{Decay, EgDistributed};
 use radio_graph::{child_rng, GraphProvider, ImplicitGnp, Xoshiro256pp};
@@ -33,6 +36,7 @@ fn threshold_p(n: usize) -> f64 {
 
 fn normalized(mut r: RunResult) -> RunResult {
     r.kernel = KernelUsed::Sweep;
+    r.threads = 1;
     r
 }
 
@@ -73,6 +77,14 @@ fn combined_plan(imp: &ImplicitGnp) -> FaultPlan {
     )
 }
 
+/// `spec` under `plan`, if any.
+fn with_faults<'a>(spec: RunSpec<'a>, plan: Option<&'a FaultPlan>) -> RunSpec<'a> {
+    match plan {
+        Some(plan) => spec.with_faults(plan),
+        None => spec,
+    }
+}
+
 /// Plain and lossy runs: implicit (shards ∈ {1, 4}) equals explicit on
 /// both scalar kernels, draw-for-draw.
 #[test]
@@ -111,7 +123,8 @@ fn implicit_matches_explicit_scalar_kernels() {
                         .into_single();
                     assert_eq!(r.kernel, KernelUsed::Sweep);
                     assert_eq!(
-                        want_result, r,
+                        want_result,
+                        normalized(r),
                         "n={n} loss={loss} {proto_name} shards={shards}: implicit diverged"
                     );
                     assert_eq!(
@@ -165,7 +178,8 @@ fn faulted_lossy_backends_bit_identical() {
                 .run_with_rng(&mut proto, &mut rng)
                 .into_single();
             assert_eq!(
-                want_result, r,
+                want_result,
+                normalized(r),
                 "n={n} shards={shards}: faulted+lossy implicit diverged"
             );
             assert_eq!(
@@ -207,63 +221,106 @@ fn batch_lanes_match_implicit_backend() {
                 .into_single();
             assert_eq!(
                 normalized(lane_result.clone()),
-                r,
+                normalized(r),
                 "lane {lane} shards={shards}: batch vs implicit diverged"
             );
         }
     }
 }
 
-/// The exec-planner lane planes on the implicit backend: a batched
-/// `RunSpec` run at 1, 7, and 64 lanes must put in lane `l` exactly the
-/// scalar explicit-CSR run seeded with `child_rng(master, l)` — plain,
-/// lossy, and under the kitchen-sink fault plan alike.
+/// The exec-planner lane planes on the provider sweeps: a `RunSpec` run
+/// at 1 (the scalar sweep), 7 and 64 lanes must put in lane `l` exactly
+/// the scalar explicit-CSR run seeded with `child_rng(master, l)` —
+/// plain, lossy, and under the kitchen-sink fault plan alike — on the
+/// implicit backend and the sharded explicit backend.  n = 512 fits one
+/// fill block and runs at the default fill-worker budget (implicit at
+/// shards 1 and 4).  n = 4096 spans four blocks, so there the worker axis
+/// (1, 2, 3 and 8 workers) really splits the fill, and every plan must
+/// also equal the same plan on one worker; its round budget is capped at
+/// 40, past the plan's last crash and wake-up (the faulted plans never
+/// complete, and every round run is compared).  Scalar plans must leave
+/// the caller's stream where the explicit run leaves it.
 #[test]
 fn implicit_lane_planes_match_explicit_scalar_runs() {
-    use radio_sim::RunSpec;
-    let n = 512;
-    let p = threshold_p(n);
-    let imp = ImplicitGnp::new(n, p, 60309 ^ n as u64);
-    let g = imp.materialize();
-    let plan = combined_plan(&imp);
-    let master = 271_828u64;
-    let variants: [(&str, RunConfig, Option<&FaultPlan>); 3] = [
-        ("plain", RunConfig::for_graph(n), None),
-        ("lossy", RunConfig::for_graph(n).with_loss(0.25), None),
-        (
-            "faulted",
-            RunConfig::for_graph(n).with_loss(0.1),
-            Some(&plan),
-        ),
-    ];
-    for (variant, cfg, fault_plan) in variants {
-        for lanes in [1usize, 7, 64] {
-            for shards in SHARD_COUNTS {
-                let mut proto = EgDistributed::new(p);
-                let mut rspec = RunSpec::on_provider(&imp, shards, 0)
-                    .with_config(cfg)
-                    .with_lanes(lanes)
-                    .with_master_seed(master);
-                if let Some(fp) = fault_plan {
-                    rspec = rspec.with_faults(fp);
-                }
-                let outcome = rspec.run(&mut proto);
-                assert_eq!(outcome.lanes.len(), lanes);
-                assert_eq!(outcome.plan.lanes, lanes);
-                for (lane, lane_result) in outcome.lanes.iter().enumerate() {
-                    let mut rng = child_rng(master, lane as u64);
-                    let mut proto = EgDistributed::new(p);
-                    let mut scalar = RunSpec::on_graph(&g, 0).with_config(cfg);
-                    if let Some(fp) = fault_plan {
-                        scalar = scalar.with_faults(fp);
-                    }
-                    let want = scalar.run_with_rng(&mut proto, &mut rng).into_single();
-                    assert_eq!(
-                        normalized(want),
-                        normalized(lane_result.clone()),
-                        "{variant} lanes={lanes} shards={shards} lane {lane}: \
-                         implicit lane plane diverged from explicit scalar"
+    let one_block = [None];
+    let four_blocks = [Some(1), Some(2), Some(3), Some(8)];
+    for (n, max_rounds, worker_axis) in
+        [(512, None, &one_block[..]), (4096, Some(40), &four_blocks)]
+    {
+        let p = threshold_p(n);
+        let imp = ImplicitGnp::new(n, p, 60309 ^ n as u64);
+        let g = imp.materialize();
+        let plan = combined_plan(&imp);
+        let master = 271_828u64;
+        let base = match max_rounds {
+            Some(r) => RunConfig::for_graph(n).with_max_rounds(r),
+            None => RunConfig::for_graph(n),
+        };
+        let variants: [(&str, RunConfig, Option<&FaultPlan>); 3] = [
+            ("plain", base, None),
+            ("lossy", base.with_loss(0.25), None),
+            ("faulted", base.with_loss(0.1), Some(&plan)),
+        ];
+        let mut sources: Vec<(&str, &dyn GraphProvider, usize, Option<usize>)> = Vec::new();
+        for &threads in worker_axis {
+            sources.push(("implicit", &imp, 1, threads));
+            sources.push(("sharded", &g, 4, threads));
+        }
+        if n == 512 {
+            sources.push(("implicit", &imp, 4, None));
+        }
+        for (variant, cfg, fault_plan) in variants {
+            // Lane l's scalar explicit reference (and, for lane 0, the
+            // residual stream) depends on neither the lane count nor the
+            // plan, so each is computed once.
+            let (want, want_residual): (Vec<RunResult>, Vec<u64>) = (0..64u64)
+                .map(|lane| {
+                    let mut rng = child_rng(master, lane);
+                    let r = with_faults(RunSpec::on_graph(&g, 0).with_config(cfg), fault_plan)
+                        .run_with_rng(&mut EgDistributed::new(p), &mut rng)
+                        .into_single();
+                    (normalized(r), rng.next())
+                })
+                .unzip();
+            for lanes in [1usize, 7, 64] {
+                let mut one_worker: Option<Vec<RunResult>> = None;
+                for &(backend, provider, shards, threads) in &sources {
+                    let what = format!(
+                        "n={n} {variant} {backend} lanes={lanes} shards={shards} threads={threads:?}"
                     );
+                    let mut rspec =
+                        with_faults(RunSpec::on_provider(provider, shards, 0), fault_plan)
+                            .with_config(cfg)
+                            .with_lanes(lanes)
+                            .with_master_seed(master);
+                    if let Some(t) = threads {
+                        rspec = rspec.with_threads(t);
+                    }
+                    let got: Vec<RunResult> = if lanes == 1 {
+                        let mut rng = child_rng(master, 0);
+                        let r = rspec.run_with_rng(&mut EgDistributed::new(p), &mut rng);
+                        assert_eq!(r.plan.lanes, 1);
+                        assert_eq!(want_residual[0], rng.next(), "{what}: residual RNG");
+                        r.lanes
+                    } else {
+                        let outcome = rspec.run(&mut EgDistributed::new(p));
+                        assert_eq!(outcome.plan.lanes, lanes);
+                        outcome.lanes
+                    };
+                    let got: Vec<RunResult> = got.into_iter().map(normalized).collect();
+                    assert_eq!(got.len(), lanes, "{what}");
+                    for (lane, lane_result) in got.iter().enumerate() {
+                        assert_eq!(
+                            want[lane], *lane_result,
+                            "{what} lane {lane}: provider sweep diverged from explicit scalar"
+                        );
+                    }
+                    if threads == Some(1) && one_worker.is_none() {
+                        one_worker = Some(got.clone());
+                    }
+                    if let Some(one) = &one_worker {
+                        assert_eq!(*one, got, "{what}: differs from the 1-worker run");
+                    }
                 }
             }
         }
@@ -296,7 +353,7 @@ fn sharded_explicit_matches_round_engine() {
                 .run_with_rng(&mut proto_b, &mut rng_b)
                 .into_single();
             assert_eq!(r.kernel, KernelUsed::Sweep);
-            assert_eq!(want, r, "n={n} shards={shards}");
+            assert_eq!(want, normalized(r), "n={n} shards={shards}");
             assert_eq!(want_residual, rng_b.next(), "n={n} shards={shards}");
         }
     }

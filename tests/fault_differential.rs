@@ -12,8 +12,8 @@ use radio_broadcast::distributed::{Decay, EgDistributed, Restartable};
 use radio_graph::gnp::sample_gnp;
 use radio_graph::{child_rng, Graph, GraphProvider, ImplicitGnp, Xoshiro256pp};
 use radio_sim::{
-    EngineKernel, FaultConfig, FaultPlan, KernelUsed, Protocol, RunConfig, RunSpec, TraceLevel,
-    MAX_LANES,
+    EngineKernel, FaultConfig, FaultPlan, KernelUsed, Protocol, RunConfig, RunResult, RunSpec,
+    TraceLevel, MAX_LANES,
 };
 
 /// One fault plan per fault type, plus a kitchen-sink combination.
@@ -169,10 +169,10 @@ fn auto_kernel_matches_explicit_kernels_under_faults() {
 
 /// The lane-sweep engine pins the graceful-degradation summary per lane:
 /// under a generated crash/sleep/jam/burst plan, every lane of a
-/// provider-backed lane-plane run (lanes 7 and 64, shards 1 and 4) must
-/// carry exactly the [`radio_sim::FaultSummary`] — coverage counters and
-/// the DSU-based residual-uninformed count — of the scalar explicit run on
-/// `child_rng(master, lane)`.
+/// provider-backed lane-plane run (lanes 7 and 64; shards 1 and 4, and 3
+/// fill workers) must carry exactly the [`radio_sim::FaultSummary`] —
+/// coverage counters and the DSU-based residual-uninformed count — of the
+/// scalar explicit run on `child_rng(master, lane)`.
 #[test]
 fn lane_sweep_fault_summaries_match_scalar_runs() {
     let n = 192;
@@ -183,41 +183,49 @@ fn lane_sweep_fault_summaries_match_scalar_runs() {
     let cfg = RunConfig::for_graph(n).with_trace(TraceLevel::SummaryOnly);
 
     for (case, plan) in fault_cases(&g) {
+        // Lane l's scalar reference runs on `child_rng(master, l)` whatever
+        // the plan's lanes, shards or workers, so each is computed once.
+        let scalars: Vec<RunResult> = (0..MAX_LANES as u64)
+            .map(|lane| {
+                let mut rng = child_rng(master, lane);
+                RunSpec::on_graph(&g, 0)
+                    .with_config(cfg)
+                    .with_faults(&plan)
+                    .run_with_rng(&mut EgDistributed::new(p), &mut rng)
+                    .into_single()
+            })
+            .collect();
         for lanes in [7usize, 64] {
-            for shards in [1usize, 4] {
-                let mut proto = EgDistributed::new(p);
-                let outcome = RunSpec::on_provider(&imp, shards, 0)
+            for (shards, threads) in [(1usize, None), (4, None), (1, Some(3))] {
+                let what = format!("{case} lanes={lanes} shards={shards} threads={threads:?}");
+                let mut spec = RunSpec::on_provider(&imp, shards, 0)
                     .with_config(cfg)
                     .with_lanes(lanes)
                     .with_faults(&plan)
-                    .with_master_seed(master)
-                    .run(&mut proto);
+                    .with_master_seed(master);
+                if let Some(t) = threads {
+                    spec = spec.with_threads(t);
+                }
+                let outcome = spec.run(&mut EgDistributed::new(p));
                 assert_eq!(outcome.lanes.len(), lanes, "{case}");
-                for (lane, lane_result) in outcome.lanes.iter().enumerate() {
+                for (lane, (lane_result, scalar)) in outcome.lanes.iter().zip(&scalars).enumerate()
+                {
                     let lane_summary = lane_result
                         .faults
                         .expect("faulted lane-plane run carries a summary");
-                    let mut rng = child_rng(master, lane as u64);
-                    let mut scalar_proto = EgDistributed::new(p);
-                    let scalar = RunSpec::on_graph(&g, 0)
-                        .with_config(cfg)
-                        .with_faults(&plan)
-                        .run_with_rng(&mut scalar_proto, &mut rng)
-                        .into_single();
                     let scalar_summary =
                         scalar.faults.expect("scalar faulty run carries a summary");
                     assert_eq!(
                         lane_summary, scalar_summary,
-                        "{case} lanes={lanes} shards={shards} lane {lane}: \
-                         FaultSummary diverged from the scalar run"
+                        "{what} lane {lane}: FaultSummary diverged from the scalar run"
                     );
                     assert_eq!(
                         lane_result.informed, scalar.informed,
-                        "{case} lanes={lanes} shards={shards} lane {lane}: coverage"
+                        "{what} lane {lane}: coverage"
                     );
                     assert_eq!(
                         lane_result.last_delivery_round, scalar.last_delivery_round,
-                        "{case} lanes={lanes} shards={shards} lane {lane}"
+                        "{what} lane {lane}"
                     );
                 }
             }
