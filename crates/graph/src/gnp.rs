@@ -69,19 +69,34 @@ pub fn connectivity_threshold_p(n: usize, delta: f64) -> f64 {
     (delta * (n as f64).ln() / n as f64).min(1.0)
 }
 
+/// `ln(1 − p)` for `0 < p < 1`: the denominator of the geometric skip
+/// `⌊ln(1 − r) / ln(1 − p)⌋` in both `G(n, p)` samplers.
+///
+/// Below `p ≈ 1.1·10⁻¹⁶` the difference `1 − p` rounds to 1 and its log
+/// to 0, which turns every skip into `⌊±∞⌋` or NaN (a complete graph, or
+/// an overflow).  `ln_1p(−p)` stands in only for that zero, so every
+/// larger `p` keeps the log, and the graphs, it always had.
+pub(crate) fn log_q(p: f64) -> f64 {
+    match (1.0 - p).ln() {
+        0.0 => (-p).ln_1p(),
+        log => log,
+    }
+}
+
 /// Sparse sampler: geometric skipping over the implicit pair sequence.
 fn sample_gnp_skip(n: usize, p: f64, rng: &mut Xoshiro256pp) -> Graph {
     let expected_m = (p * n as f64 * (n as f64 - 1.0) / 2.0) as usize;
     let mut b = GraphBuilder::with_edge_capacity(n, expected_m + expected_m / 8 + 16);
-    let log_q = (1.0 - p).ln(); // < 0
+    let log_q = log_q(p); // < 0
     let mut v: usize = 1;
     let mut w: i64 = -1;
     while v < n {
         // Skip a Geometric(p)-distributed number of pairs.
         let r = rng.next_f64();
-        // ln(1-r)/ln(1-p) ≥ 0; the classic floor-based skip.
+        // ln(1-r)/ln(1-p) ≥ 0; the classic floor-based skip.  The cast
+        // saturates for astronomically long skips, and so does the add.
         let skip = ((1.0 - r).ln() / log_q).floor() as i64;
-        w += 1 + skip;
+        w = w.saturating_add(skip.saturating_add(1));
         while w >= v as i64 && v < n {
             w -= v as i64;
             v += 1;
@@ -226,6 +241,20 @@ mod tests {
         assert_eq!(connectivity_threshold_p(1, 2.0), 1.0);
         let p = connectivity_threshold_p(100, 2.0);
         assert!(p > 0.0 && p < 1.0);
+    }
+
+    #[test]
+    fn tiny_p_gives_an_empty_graph() {
+        // 1 − p rounds to 1 for every one of these p.
+        for p in [1e-17, 1e-300, f64::MIN_POSITIVE] {
+            let g = sample_gnp(50, p, &mut Xoshiro256pp::new(1));
+            assert_eq!(g.m(), 0, "p = {p:e}");
+            assert!(log_q(p) < 0.0, "p = {p:e}");
+        }
+        // Where 1 − p is below 1 the log is the one it always was.
+        for p in [1e-12, 1e-16, 0.3] {
+            assert_eq!(log_q(p), (1.0 - p).ln(), "p = {p:e}");
+        }
     }
 
     #[test]

@@ -45,7 +45,11 @@ use std::ops::Range;
 
 use crate::builder::GraphBuilder;
 use crate::csr::{Graph, NodeId};
+use crate::gnp::log_q;
 use crate::rng::{derive_seed, SplitMix64};
+
+#[cfg(target_arch = "x86_64")]
+mod regen;
 
 /// Neighborhood access for round engines, abstracted over storage.
 ///
@@ -132,13 +136,18 @@ impl GraphProvider for Graph {
 /// Two values with equal `(n, p, seed)` denote the same graph; the edge
 /// set is pinned by the RNG stream and never changes across queries, row
 /// ranges, or [`ImplicitGnp::materialize`].
+///
+/// On x86-64 CPUs with AVX-512F and AVX-512DQ (detected at run time) the
+/// rows are regenerated eight at a time in vector registers, with every
+/// skip bit-identical to the one-row path (see `regen.rs`); other CPUs
+/// run the one-row path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImplicitGnp {
     n: usize,
     p: f64,
     seed: u64,
-    /// `ln(1 - p)`, precomputed for the skip draw (negative; `-inf` iff
-    /// `p = 1`).
+    /// `ln(1 - p)`, precomputed for the skip draw (negative for
+    /// `0 < p < 1`; `-inf` iff `p = 1`).
     log_q: f64,
 }
 
@@ -154,7 +163,7 @@ impl ImplicitGnp {
             n,
             p,
             seed,
-            log_q: (1.0 - p).ln(),
+            log_q: log_q(p),
         }
     }
 
@@ -199,18 +208,13 @@ impl ImplicitGnp {
         // A SplitMix64 stream over the same `derive_seed(seed, u)` child
         // seed that `child_rng` would expand into a xoshiro: one wrapping
         // add + three shifts per draw and no 4-word state expansion per
-        // row.  The row fill runs once per row per *round*, so the
-        // construction cost dominated the implicit sweep (ROADMAP item 1);
-        // the derivation is unchanged, so `(n, p, seed)` still pins the
-        // graph and `materialize()` replays it identically.
+        // row.  The row fill runs once per row per *round*, so a per-row
+        // state expansion would be paid n times a round; the derivation
+        // is unchanged, so `(n, p, seed)` still pins the graph and
+        // `materialize()` replays it identically.
         let mut rng = SplitMix64::new(derive_seed(self.seed, u as u64));
         loop {
-            // Geometric(p) skip over the candidate sequence u+1..n: the
-            // classic floor(ln(1-r)/ln(1-p)) draw.  next_f64() < 1
-            // strictly, so the logarithm is finite; the float→usize cast
-            // saturates for astronomically long skips.
-            let r = rng.next_f64();
-            let skip = ((1.0 - r).ln() / self.log_q).floor() as usize;
+            let skip = geometric_skip(rng.next_f64(), self.log_q);
             v = v.saturating_add(1).saturating_add(skip);
             if v >= n {
                 return;
@@ -218,6 +222,16 @@ impl ImplicitGnp {
             visit(u, v as NodeId);
         }
     }
+}
+
+/// The Geometric(p) skip over a row's candidate sequence for a uniform
+/// draw `r ∈ [0, 1)`: the classic `⌊ln(1 − r) / ln(1 − p)⌋`.  `1 − r` is
+/// exact and positive, so the logarithm is finite; the float→usize cast
+/// saturates for astronomically long skips.  The one definition of a
+/// skip: the vector kernel's fallback calls it too.
+#[inline]
+fn geometric_skip(r: f64, log_q: f64) -> usize {
+    ((1.0 - r).ln() / log_q).floor() as usize
 }
 
 impl GraphProvider for ImplicitGnp {
@@ -230,6 +244,11 @@ impl GraphProvider for ImplicitGnp {
     }
 
     fn for_forward_edges(&self, rows: Range<NodeId>, visit: &mut dyn FnMut(NodeId, NodeId)) {
+        #[cfg(target_arch = "x86_64")]
+        if regen::available() {
+            // SAFETY: the kernel's target features were just detected.
+            return unsafe { regen::forward_rows::<{ regen::STEPS }>(self, rows, visit) };
+        }
         for u in rows {
             self.forward_row(u, visit);
         }
@@ -359,6 +378,21 @@ mod tests {
         let tiny = ImplicitGnp::new(3, 1e-12, 1);
         // Skip lengths saturate instead of overflowing.
         assert!(collect_edges(&tiny, 0..3).len() <= 3);
+    }
+
+    #[test]
+    fn implicit_tiny_p_gives_an_empty_graph() {
+        // 1 − p rounds to 1 for every one of these p.
+        for p in [1e-17, 1e-300, f64::MIN_POSITIVE] {
+            let imp = ImplicitGnp::new(50, p, 1);
+            assert!(collect_edges(&imp, 0..50).is_empty(), "p = {p:e}");
+            let mut one_row = 0;
+            for u in 0..50 {
+                imp.forward_row(u, &mut |_, _| one_row += 1);
+            }
+            assert_eq!(one_row, 0, "p = {p:e}: one-row path");
+            assert_eq!(imp.materialize().m(), 0, "p = {p:e}: materialize");
+        }
     }
 
     #[test]

@@ -18,6 +18,15 @@
 //!   bumps — and so the workspace builds with no external dependencies at
 //!   all, which matters for hermetic/offline environments.
 
+/// SplitMix64's state increment.
+pub(crate) const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's two output-mix multipliers.
+pub(crate) const SPLITMIX_MULS: [u64; 2] = [0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB];
+
+/// The index multiplier of [`derive_seed`].
+pub(crate) const DERIVE_SEED_MUL: u64 = 0xA24B_AED4_963E_E407;
+
 /// SplitMix64: a tiny, fast, well-distributed 64-bit generator.
 ///
 /// Primarily used to derive independent seeds: `SplitMix64::new(seed)`
@@ -38,10 +47,10 @@ impl SplitMix64 {
     #[allow(clippy::should_implement_trait)]
     #[inline]
     pub fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
+        self.state = self.state.wrapping_add(SPLITMIX_GAMMA);
         let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z = (z ^ (z >> 30)).wrapping_mul(SPLITMIX_MULS[0]);
+        z = (z ^ (z >> 27)).wrapping_mul(SPLITMIX_MULS[1]);
         z ^ (z >> 31)
     }
 
@@ -308,7 +317,7 @@ unsafe fn lane_coins_avx512(rngs: &mut [Xoshiro256pp], lanes: u64, t: u64) -> u6
 /// function parallel sweep drivers use to give each trial its own generator.
 #[inline]
 pub fn derive_seed(master: u64, index: u64) -> u64 {
-    let mut sm = SplitMix64::new(master ^ index.wrapping_mul(0xA24BAED4963EE407));
+    let mut sm = SplitMix64::new(master ^ index.wrapping_mul(DERIVE_SEED_MUL));
     sm.next()
 }
 

@@ -5,8 +5,9 @@
 //! instead resolves a round by sweeping every **forward edge** of a
 //! [`GraphProvider`] once — for edge `{u, v}` it bumps `v`'s hit counter if
 //! `u` transmits and vice versa — so it runs unmodified on backends that
-//! have no stored adjacency at all ([`ImplicitGnp`]).  Hit counters saturate
-//! at 2 (the radio rule only distinguishes "exactly one" from "two or
+//! have no stored adjacency at all
+//! ([`ImplicitGnp`](radio_graph::ImplicitGnp)).  Hit counters saturate at
+//! 2 (the radio rule only distinguishes "exactly one" from "two or
 //! more"), and a jammer's noise counts as two hits, exactly as in the
 //! sparse kernel.
 //!
@@ -36,9 +37,7 @@
 //! [`GraphProvider::materialize`]'s graph are bit-identical — same
 //! informed sets, same traces, same residual RNG stream.
 
-use radio_graph::{
-    AdjacencyBitmap, BitmapCapError, GraphProvider, ImplicitGnp, NodeId, Xoshiro256pp,
-};
+use radio_graph::{AdjacencyBitmap, BitmapCapError, GraphProvider, NodeId, Xoshiro256pp};
 use std::ops::Range;
 
 use crate::bitset::BitSet;
@@ -54,9 +53,9 @@ use crate::state::BroadcastState;
 /// `Explicit` is the classic path (CSR +
 /// [`RoundEngine`](crate::engine::RoundEngine) with its sparse/dense/batch
 /// kernels);
-/// `Implicit` regenerates neighborhoods from the seed via [`ImplicitGnp`]
-/// and runs on the forward-edge sweep; `Sharded` is that sweep over an
-/// explicit CSR.  `Auto` picks per run size — see
+/// `Implicit` regenerates neighborhoods from the seed via
+/// [`ImplicitGnp`](radio_graph::ImplicitGnp) and runs on the forward-edge
+/// sweep; `Sharded` is that sweep over an explicit CSR.  `Auto` picks per run size — see
 /// [`resolve_backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
@@ -445,12 +444,6 @@ impl LaneMerge for SweepLanes<'_> {
     }
 }
 
-/// Convenience: an [`ImplicitGnp`] provider for one run, seeded like the
-/// explicit samplers (graph structure from its own child stream of `seed`).
-pub fn implicit_gnp(n: usize, p: f64, seed: u64) -> ImplicitGnp {
-    ImplicitGnp::new(n, p, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,7 +452,7 @@ mod tests {
     use crate::protocol::{LocalNode, Protocol, RunConfig};
     use crate::trace::RunResult;
     use crate::MAX_LANES;
-    use radio_graph::{child_rng, Graph};
+    use radio_graph::{child_rng, Graph, ImplicitGnp};
 
     /// A scalar run on `provider` in `shards` shards (one shard over
     /// explicit adjacency plans the round engine).
@@ -616,7 +609,7 @@ mod tests {
 
     #[test]
     fn implicit_run_matches_materialized_run() {
-        let imp = implicit_gnp(350, 0.03, 11);
+        let imp = ImplicitGnp::new(350, 0.03, 11);
         let g = imp.materialize();
         let cfg = RunConfig::for_graph(350).with_loss(0.2);
         let mut rng_a = Xoshiro256pp::new(41);
@@ -630,7 +623,7 @@ mod tests {
 
     #[test]
     fn faulty_provider_run_matches_explicit() {
-        let imp = implicit_gnp(256, 0.04, 13);
+        let imp = ImplicitGnp::new(256, 0.04, 13);
         let g = imp.materialize();
         let mut plan = FaultPlan::new(256);
         plan.crash(5, 4)
@@ -653,8 +646,8 @@ mod tests {
     /// clamped to the row-block count, so one below two blocks.
     #[test]
     fn sweeps_record_their_fill_workers() {
-        let four_blocks = implicit_gnp(3 * FILL_ROWS + 1, 0.002, 5);
-        let one_block = implicit_gnp(FILL_ROWS, 0.01, 5);
+        let four_blocks = ImplicitGnp::new(3 * FILL_ROWS + 1, 0.002, 5);
+        let one_block = ImplicitGnp::new(FILL_ROWS, 0.01, 5);
         let cfg = RunConfig::for_graph(FILL_ROWS).with_max_rounds(3);
         for lanes in [1, 7] {
             for threads in [1usize, 2, 3, 8] {
@@ -687,7 +680,7 @@ mod tests {
 
     #[test]
     fn lane_sweep_matches_scalar_streams() {
-        let imp = implicit_gnp(180, 0.05, 21);
+        let imp = ImplicitGnp::new(180, 0.05, 21);
         let g = imp.materialize();
         for (case, (lanes, loss)) in [(16usize, 0.0), (64, 0.0), (7, 0.25), (64, 0.25)]
             .into_iter()
@@ -716,7 +709,7 @@ mod tests {
 
     #[test]
     fn faulty_lane_sweep_matches_scalar_faulty_runs() {
-        let imp = implicit_gnp(150, 0.06, 33);
+        let imp = ImplicitGnp::new(150, 0.06, 33);
         let g = imp.materialize();
         let mut plan = FaultPlan::new(150);
         plan.crash(5, 4)

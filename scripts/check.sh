@@ -96,6 +96,14 @@ step "lane decision suite (debug)"
 ctest --offline -q -p radio-graph lane_coins
 ctest --offline -q -p radio-integration --test lane_decisions
 
+# The edge-regeneration contract: `ImplicitGnp`'s eight-row AVX-512
+# kernel (when the CPU has it) gives every skip and row of the one-row
+# path, and a `p` too small for `1 - p` to differ from 1 gives an empty
+# graph in both G(n, p) samplers.
+step "provider regeneration suite (debug)"
+ctest --offline -q -p radio-graph provider
+ctest --offline -q -p radio-graph tiny_p
+
 # The broadcast-service contract: a partitioned 64-node cluster must heal
 # to coverage 1.0, and the stripped NodeReport must be byte-identical
 # across thread budgets (the service's RADIO_THREADS-independence pin).
@@ -173,6 +181,13 @@ if [ "$fast" -eq 0 ]; then
   step "lane decision suite (release)"
   ctest --release --offline -q -p radio-graph lane_coins
   ctest --release --offline -q -p radio-integration --test lane_decisions
+
+  # The regeneration kernel re-runs in release: the vector log's error
+  # bound, the near-integer fallback and the row buffering must stay
+  # bit-identical to the one-row path under optimization.
+  step "provider regeneration suite (release)"
+  ctest --release --offline -q -p radio-graph provider
+  ctest --release --offline -q -p radio-graph tiny_p
 
   # The broadcast-service contract re-runs in release at cluster scale
   # (1024 nodes, partition + crash + loss): full coverage after heal,
